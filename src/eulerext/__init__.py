@@ -6,150 +6,19 @@ small cases against an exact oracle, evaluate the associated
 concentration bounds, and run reproducible Monte Carlo batches.
 """
 
-from .graph import (
-    EulerCircuit,
-    Graph,
-    GraphError,
-    NotEulerianError,
-    format_edge_list,
-    load_edge_list,
-    parse_edge_list,
-    save_edge_list,
-)
-from .models import (
-    AlphaStats,
-    ConditionCheck,
-    EdgeProbabilityModel,
-    ExampleFamilyModel,
-    ExplicitModel,
-    HomogeneousModel,
-    ModelError,
-    alpha_stats,
-    check_condition,
-    load_model_spec,
-    parse_model_spec,
-    read_lower_triangular,
-    sample_graph,
-)
-from .extension import (
-    FAIL_DISCONNECTED,
-    FAIL_NO_THREE_PATH,
-    FAIL_NOT_EXTENDABLE,
-    PHASE_PAIRING,
-    PHASE_THREE_PATH,
-    PHASE_TWO_PATH,
-    AddedEdge,
-    ExtensionResult,
-    VerificationReport,
-    extend,
-    phase_clique_reduction,
-    phase_pairing,
-    phase_three_paths,
-    verify_extension,
-)
-from .oracle import ORACLE_MAX_VERTICES, OracleAnswer, OracleSizeError, min_extension_exact
-from .bounds import (
-    DEFAULT_BETA,
-    DEFAULT_GAMMA,
-    BoundParams,
-    GoodEventCheck,
-    StepBound,
-    chernoff_tail,
-    default_params,
-    e_all_check,
-    e_good_check,
-    min_common_non_neighbors,
-    step_success_bound,
-)
-from .cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_OK, main
-from .experiment import (
-    EMITTED_FIELDS,
-    ConfigError,
-    ExperimentConfig,
-    Summary,
-    TrialRecord,
-    odd_fraction_probe,
-    run_single_trial,
-    run_trials,
-    summarize,
-    trial_seed,
-    write_records,
-)
+from . import bounds, cli, experiment, extension, graph, models, oracle
+from .graph import *
+from .models import *
+from .extension import *
+from .oracle import *
+from .bounds import *
+from .experiment import *
+from .cli import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # graphs
-    "Graph",
-    "EulerCircuit",
-    "GraphError",
-    "NotEulerianError",
-    "parse_edge_list",
-    "format_edge_list",
-    "load_edge_list",
-    "save_edge_list",
-    # models
-    "ModelError",
-    "EdgeProbabilityModel",
-    "HomogeneousModel",
-    "ExplicitModel",
-    "ExampleFamilyModel",
-    "AlphaStats",
-    "alpha_stats",
-    "ConditionCheck",
-    "check_condition",
-    "sample_graph",
-    "parse_model_spec",
-    "load_model_spec",
-    "read_lower_triangular",
-    # extension engine
-    "PHASE_PAIRING",
-    "PHASE_TWO_PATH",
-    "PHASE_THREE_PATH",
-    "FAIL_DISCONNECTED",
-    "FAIL_NO_THREE_PATH",
-    "FAIL_NOT_EXTENDABLE",
-    "AddedEdge",
-    "ExtensionResult",
-    "VerificationReport",
-    "phase_pairing",
-    "phase_clique_reduction",
-    "phase_three_paths",
-    "extend",
-    "verify_extension",
-    # oracle
-    "ORACLE_MAX_VERTICES",
-    "OracleAnswer",
-    "OracleSizeError",
-    "min_extension_exact",
-    # bounds
-    "DEFAULT_BETA",
-    "DEFAULT_GAMMA",
-    "chernoff_tail",
-    "BoundParams",
-    "default_params",
-    "GoodEventCheck",
-    "e_good_check",
-    "min_common_non_neighbors",
-    "e_all_check",
-    "StepBound",
-    "step_success_bound",
-    # experiments
-    "ConfigError",
-    "trial_seed",
-    "ExperimentConfig",
-    "TrialRecord",
-    "EMITTED_FIELDS",
-    "Summary",
-    "run_single_trial",
-    "run_trials",
-    "summarize",
-    "write_records",
-    "odd_fraction_probe",
-    # cli
-    "main",
-    "EXIT_OK",
-    "EXIT_BAD_CONFIG",
-    "EXIT_IO",
+__all__ = ["__version__"] + [
+    name
+    for module in (graph, models, extension, oracle, bounds, experiment, cli)
+    for name in module.__all__
 ]

@@ -134,21 +134,13 @@ def e_all_check(g: Graph, n: int | None = None) -> bool:
     """Does every vertex pair have at least (ln n)^3 / 2 common non-neighbors?
 
     n defaults to the graph's own vertex count; passing it explicitly
-    evaluates the same floor at a different nominal size. Scans pairs and
-    stops at the first violation.
+    evaluates the same floor at a different nominal size.
     """
     if n is None:
         n = g.n
     if n < 2 or g.n < 2:
         raise ValueError("need at least two vertices")
-    threshold = math.log(n) ** 3 / 2.0
-    non = [g.non_neighbors_mask(u) for u in range(g.n)]
-    for u in range(g.n - 1):
-        nu = non[u]
-        for v in range(u + 1, g.n):
-            if (nu & non[v]).bit_count() < threshold:
-                return False
-    return True
+    return min_common_non_neighbors(g) >= math.log(n) ** 3 / 2.0
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,6 @@ from .models import EdgeProbabilityModel, HomogeneousModel, alpha_stats, sample_
 from .oracle import ORACLE_MAX_VERTICES, min_extension_exact
 
 __all__ = [
-    "DEFAULT_BETA",
-    "DEFAULT_GAMMA",
     "ConfigError",
     "trial_seed",
     "ExperimentConfig",

@@ -63,8 +63,11 @@ class Graph:
     def __init__(self, n: int):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
+        try:
+            self._adj = [0] * n
+        except OverflowError:
+            raise GraphError(f"vertex count {n} is too large") from None
         self.n = n
-        self._adj = [0] * n
         self._m = 0
 
     @classmethod
@@ -92,9 +95,6 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return self._m
-
-    def edge_count(self) -> int:
         return self._m
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -188,6 +188,7 @@ def test_min_common_non_neighbors_matches_reference(n, seed):
         for v in range(u + 1, n)
     )
     assert min_common_non_neighbors(g) == ref
+    assert e_all_check(g) == (ref >= math.log(n) ** 3 / 2.0)
 
 
 def test_e_all_threshold_arithmetic():

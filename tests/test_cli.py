@@ -306,6 +306,25 @@ def test_malformed_graph_file_is_config_error(tmp_path, capsys):
     assert code == EXIT_BAD_CONFIG
 
 
+def test_huge_vertex_count_is_config_error(tmp_path, capsys):
+    # counts of 2^63 and above fail before anything is allocated
+    for count in (2**63, 99999999999999999999):
+        bad = tmp_path / "huge.edges"
+        bad.write_text(f"{count}\n")
+        code, obj = run_cli(capsys, "extend", "--graph", str(bad), "--out", str(tmp_path / "o.edges"))
+        assert code == EXIT_BAD_CONFIG and obj is None
+
+
+def test_negative_probe_budget_is_config_error(tmp_path, capsys):
+    path = write_graph(tmp_path, "p.edges", 3, [(0, 1), (1, 2)])
+    code, obj = run_cli(
+        capsys, "extend", "--graph", path, "--max-attempts", "-4", "--seed", "1",
+        "--out", str(tmp_path / "o.edges"),
+    )
+    assert code == EXIT_BAD_CONFIG and obj is None
+    assert not (tmp_path / "o.edges").exists()
+
+
 def test_bad_spec_file_is_config_error(tmp_path, capsys):
     spec = tmp_path / "weird.spec"
     spec.write_text("type: quantum\nn: 5\n")

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from eulerext import (
     verify_extension,
 )
 
-from conftest import is_valid_extension_ref, random_connected_edges
+from conftest import (
+    all_pairs,
+    is_valid_extension_ref,
+    odd_vertices_ref,
+    random_connected_edges,
+    random_edges,
+)
 
 
 def graph(n, edges):
@@ -269,6 +276,13 @@ def test_extend_budget_override():
     assert r.success and r.attempts_phase3 == 0
 
 
+def test_extend_rejects_negative_budget():
+    # checked before the early returns for disconnected and even inputs
+    for g in (graph(5, [(0, 1), (1, 2)]), graph(3, [(0, 1), (1, 2), (0, 2)]), Graph(1)):
+        with pytest.raises(ValueError):
+            extend(g, rng=np.random.default_rng(0), max_random_attempts=-4)
+
+
 @given(st.integers(2, 11), st.integers(0, 10**6), st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_extend_invariants_random(n, seed, use_rng):
@@ -346,6 +360,40 @@ def test_verify_flags_budget_overrun():
     assert rep.violations == (
         "3 edges added, above three per odd pair (t=0)",
     )
+
+
+@given(st.integers(1, 8), st.integers(0, 10**6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_matches_reference(n, seed, data):
+    rnd = random.Random(seed)
+    edges = random_edges(rnd, n, rnd.choice((0.3, 0.5, 0.8)))
+    base = set(edges)
+    g = graph(n, edges)
+    added = []
+    r = extend(g)
+    if r.success and data.draw(st.booleans()):
+        # start from a valid extension; a triangle of absent edges keeps
+        # parity and connectivity, so only the 3t budget can break
+        added = r.edge_pairs()
+        taken = base | set(added)
+        triangles = [c for c in combinations(range(n), 3) if taken.isdisjoint(combinations(c, 2))]
+        if triangles and data.draw(st.booleans()):
+            a, b, c = data.draw(st.sampled_from(triangles))
+            added += [(a, b), (b, c), (a, c)]
+    complement = [e for e in all_pairs(n) if e not in base]
+    # arbitrary pairs cover self-loops, out-of-range endpoints and input edges
+    pair = st.tuples(st.integers(-1, n), st.integers(-1, n))
+    for pool in (complement, edges):
+        if pool:
+            pair = pair | st.sampled_from(pool) | st.sampled_from(pool).map(lambda e: e[::-1])
+    added += data.draw(st.lists(pair, max_size=2 * n))
+    rep = verify_extension(g, ok_result(added))
+
+    in_range = all(0 <= u < n and 0 <= v < n and u != v for u, v in added)
+    t = len(odd_vertices_ref(n, edges)) // 2
+    expected = in_range and is_valid_extension_ref(n, edges, added) and len(added) <= 3 * t
+    assert rep.ok == expected
+    assert rep.ok == (rep.violations == ())
 
 
 def test_verify_accepts_honest_extension():
