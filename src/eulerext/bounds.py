@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .graph import Graph
-from .models import AlphaStats
+from .models import AlphaStats, check_exponents
 
 __all__ = [
     "DEFAULT_BETA",
@@ -62,12 +62,7 @@ class BoundParams:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 0.5:
-            raise ValueError(f"beta must lie in (0, 1/2), got {self.beta}")
-        if not 0.0 < self.gamma < 0.5 - self.beta:
-            raise ValueError(
-                f"gamma must lie in (0, 1/2 - beta), got gamma={self.gamma}, beta={self.beta}"
-            )
+        check_exponents(self.beta, self.gamma)
         lo = self.gamma + self.beta / 2.0
         hi = (1.0 - self.beta) / 2.0
         if not lo < self.zeta < hi:
@@ -130,17 +125,9 @@ def min_common_non_neighbors(g: Graph) -> int:
     return best
 
 
-def e_all_check(g: Graph, n: int | None = None) -> bool:
-    """Does every vertex pair have at least (ln n)^3 / 2 common non-neighbors?
-
-    n defaults to the graph's own vertex count; passing it explicitly
-    evaluates the same floor at a different nominal size.
-    """
-    if n is None:
-        n = g.n
-    if n < 2 or g.n < 2:
-        raise ValueError("need at least two vertices")
-    return min_common_non_neighbors(g) >= math.log(n) ** 3 / 2.0
+def e_all_check(g: Graph) -> bool:
+    """Does every vertex pair have at least (ln n)^3 / 2 common non-neighbors?"""
+    return min_common_non_neighbors(g) >= math.log(g.n) ** 3 / 2.0
 
 
 @dataclass(frozen=True)

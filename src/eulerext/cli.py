@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -17,16 +18,7 @@ from .bounds import DEFAULT_BETA, DEFAULT_GAMMA, default_params, step_success_bo
 from .experiment import ConfigError, ExperimentConfig, run_trials, trial_seed
 from .extension import extend
 from .graph import load_edge_list, save_edge_list
-from .models import (
-    ExampleFamilyModel,
-    ExplicitModel,
-    HomogeneousModel,
-    alpha_stats,
-    check_condition,
-    load_model_spec,
-    read_lower_triangular,
-    sample_graph,
-)
+from .models import MODEL_KINDS, alpha_stats, build_model, check_condition, load_model_spec, sample_graph
 from .oracle import min_extension_exact
 
 __all__ = ["main", "EXIT_OK", "EXIT_BAD_CONFIG", "EXIT_IO"]
@@ -41,14 +33,13 @@ def _add_model_arguments(parser: argparse.ArgumentParser):
     group.add_argument("--model", metavar="FILE", help="model spec file (key: value lines)")
     group.add_argument(
         "--model-type",
-        choices=("homogeneous", "example_family", "matrix"),
+        choices=tuple(MODEL_KINDS),
         help="inline model kind; needs --n plus its parameters",
     )
     group.add_argument("--n", type=int, help="vertex count for inline models")
-    group.add_argument("--p", type=float, help="edge probability (homogeneous)")
-    group.add_argument("--a", type=float, help="last-vertex probability (example family)")
-    group.add_argument("--b", type=float, help="background probability (example family)")
-    group.add_argument("--matrix-file", metavar="FILE", help="lower-triangular rows (matrix)")
+    for kind, (_, keys) in MODEL_KINDS.items():
+        for key, what in keys.items():
+            group.add_argument("--" + key.replace("_", "-"), help=f"{what} ({kind})")
 
 
 def _build_model(args):
@@ -56,19 +47,10 @@ def _build_model(args):
         return load_model_spec(args.model)
     if args.model_type is None:
         raise ConfigError("provide --model FILE or --model-type with its parameters")
-    if args.n is None:
-        raise ConfigError("--n is required with --model-type")
-    if args.model_type == "homogeneous":
-        if args.p is None:
-            raise ConfigError("--p is required for a homogeneous model")
-        return HomogeneousModel(args.n, args.p)
-    if args.model_type == "example_family":
-        if args.a is None or args.b is None:
-            raise ConfigError("--a and --b are required for an example-family model")
-        return ExampleFamilyModel(args.n, args.a, args.b)
-    if args.matrix_file is None:
-        raise ConfigError("--matrix-file is required for a matrix model")
-    return ExplicitModel(args.n, read_lower_triangular(args.matrix_file, args.n))
+    fields = {"type": args.model_type, "n": args.n}
+    for _, keys in MODEL_KINDS.values():
+        fields.update((key, getattr(args, key)) for key in keys)
+    return build_model(fields)
 
 
 def _jsonable(value):
@@ -163,33 +145,15 @@ def _cmd_bounds(args) -> int:
     condition = check_condition(stats, n, args.beta, args.gamma)
     params = default_params(n, args.beta, args.gamma)
     step = step_success_bound(stats, n, params, args.t)
+    alpha = asdict(stats)
+    del alpha["per_vertex_avg"]
     _print_json(
         {
             "n": n,
-            "alpha": {
-                "alpha_low": stats.alpha_low,
-                "alpha_up": stats.alpha_up,
-                "alpha_e": stats.alpha_e,
-            },
-            "condition": {
-                "holds": condition.holds,
-                "margin": condition.margin,
-                "lower_slack": condition.lower_slack,
-                "upper_slack": condition.upper_slack,
-            },
-            "params": {
-                "beta": params.beta,
-                "gamma": params.gamma,
-                "zeta": params.zeta,
-                "epsilon": params.epsilon,
-            },
-            "step_bound": {
-                "p_lower": step.p_lower,
-                "q_upper": step.q_upper,
-                "diff": step.diff,
-                "product_log": step.product_log,
-                "analytic_floor": step.analytic_floor,
-            },
+            "alpha": alpha,
+            "condition": asdict(condition),
+            "params": asdict(params),
+            "step_bound": asdict(step),
         }
     )
     return EXIT_OK

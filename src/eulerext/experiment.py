@@ -12,14 +12,14 @@ import csv
 import json
 import statistics
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import DEFAULT_BETA, DEFAULT_GAMMA, default_params, e_all_check, e_good_check
 from .extension import extend, verify_extension
-from .models import EdgeProbabilityModel, HomogeneousModel, alpha_stats, sample_graph
+from .models import EdgeProbabilityModel, alpha_stats, sample_graph
 from .oracle import ORACLE_MAX_VERTICES, min_extension_exact
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "run_trials",
     "summarize",
     "write_records",
-    "odd_fraction_probe",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -221,7 +220,7 @@ class Summary:
     m_std: float
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 def summarize(records: list[TrialRecord]) -> Summary:
@@ -292,21 +291,3 @@ def write_records(records: list[TrialRecord], path, fmt: str):
     else:
         raise ValueError(f"unknown record format {fmt!r}")
 
-
-def odd_fraction_probe(n: int, p: float, trials: int, seed: int = 0) -> float:
-    """Mean fraction of odd-degree vertices over sampled same-probability graphs.
-
-    For p strictly inside (0, 1) the fraction concentrates near 1/2; the
-    p = 1 endpoint is allowed for parity sanity checks on complete graphs.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"edge probability must lie in (0, 1], got {p}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    model = HomogeneousModel(n, p)
-    total = 0.0
-    for i in range(trials):
-        rng = np.random.default_rng(trial_seed(seed, i))
-        g = sample_graph(model, rng)
-        total += len(g.odd_vertices()) / n
-    return total / trials

@@ -11,6 +11,7 @@ per odd vertex pair.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .graph import Graph
@@ -260,8 +261,11 @@ def verify_extension(g: Graph, result: ExtensionResult) -> VerificationReport:
     violations: list[str] = []
     seen: set[tuple[int, int]] = set()
     for edge in result.added_edges:
-        u, v = edge.u, edge.v
-        if not (isinstance(u, int) and isinstance(v, int)) or not (0 <= u < g.n and 0 <= v < g.n):
+        u, v = _vertex_index(edge.u), _vertex_index(edge.v)
+        if u is None or v is None:
+            violations.append(f"edge ({edge.u!r}, {edge.v!r}) has a non-integer endpoint")
+            continue
+        if not (0 <= u < g.n and 0 <= v < g.n):
             violations.append(f"edge ({u}, {v}) is out of range")
             continue
         if u == v:
@@ -291,3 +295,13 @@ def verify_extension(g: Graph, result: ExtensionResult) -> VerificationReport:
             f"(t={g.t_value()})"
         )
     return VerificationReport(not violations, tuple(violations))
+
+
+def _vertex_index(w) -> int | None:
+    """w as a Python int when it is integer-like (numpy ints included), else None."""
+    if isinstance(w, bool):
+        return None
+    try:
+        return operator.index(w)
+    except TypeError:
+        return None

@@ -111,10 +111,6 @@ class Graph:
             return 0
         return max(a.bit_count() for a in self._adj)
 
-    def adjacency_mask(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._adj[v]
-
     def non_neighbors_mask(self, v: int) -> int:
         """Bitset of vertices that are neither v nor adjacent to v."""
         self._check_vertex(v)

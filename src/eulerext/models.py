@@ -31,6 +31,7 @@ __all__ = [
     "ConditionCheck",
     "check_condition",
     "sample_graph",
+    "build_model",
     "parse_model_spec",
     "load_model_spec",
     "read_lower_triangular",
@@ -42,9 +43,10 @@ class ModelError(ValueError):
 
 
 class EdgeProbabilityModel:
-    """Base class: a symmetric pair-probability assignment on n vertices."""
+    """Base class: a symmetric pair-probability assignment on n vertices.
 
-    kind = "base"
+    Subclasses state their rule once, in probability_row.
+    """
 
     def __init__(self, n: int):
         if not isinstance(n, int) or isinstance(n, bool):
@@ -56,7 +58,11 @@ class EdgeProbabilityModel:
         self._alpha = None
 
     def probability(self, u: int, v: int) -> float:
-        raise NotImplementedError
+        """p(u, v) for two distinct vertices, read off row u."""
+        self._check_vertex(v)
+        if u == v:
+            raise ModelError("pair probability is undefined on the diagonal")
+        return float(self.probability_row(u)[v])
 
     def probability_row(self, u: int) -> np.ndarray:
         """Length-n vector of p(u, v) with 0.0 in the diagonal slot."""
@@ -91,20 +97,15 @@ class EdgeProbabilityModel:
             self._pair_probs = out
         return self._pair_probs
 
-    def _check_pair(self, u: int, v: int):
-        for w in (u, v):
-            if not isinstance(w, int) or isinstance(w, bool):
-                raise ModelError(f"vertex must be an int, got {w!r}")
-            if not 0 <= w < self.n:
-                raise ModelError(f"vertex {w} out of range for n={self.n}")
-        if u == v:
-            raise ModelError("pair probability is undefined on the diagonal")
+    def _check_vertex(self, w: int):
+        if not isinstance(w, int) or isinstance(w, bool):
+            raise ModelError(f"vertex must be an int, got {w!r}")
+        if not 0 <= w < self.n:
+            raise ModelError(f"vertex {w} out of range for n={self.n}")
 
 
 class HomogeneousModel(EdgeProbabilityModel):
     """Every pair has the same probability p."""
-
-    kind = "homogeneous"
 
     def __init__(self, n: int, p: float):
         super().__init__(n)
@@ -113,12 +114,8 @@ class HomogeneousModel(EdgeProbabilityModel):
             raise ModelError(f"probability must lie in [0, 1], got {p}")
         self.p = p
 
-    def probability(self, u, v):
-        self._check_pair(u, v)
-        return self.p
-
     def probability_row(self, u):
-        self._check_pair(0 if u else 1, u)
+        self._check_vertex(u)
         row = np.full(self.n, self.p)
         row[u] = 0.0
         return row
@@ -133,8 +130,6 @@ class HomogeneousModel(EdgeProbabilityModel):
 class ExplicitModel(EdgeProbabilityModel):
     """Probabilities given as a full symmetric matrix (diagonal ignored)."""
 
-    kind = "matrix"
-
     def __init__(self, n: int, matrix):
         super().__init__(n)
         mat = np.array(matrix, dtype=float)
@@ -147,12 +142,8 @@ class ExplicitModel(EdgeProbabilityModel):
             raise ModelError("matrix entries must lie in [0, 1]")
         self.matrix = mat
 
-    def probability(self, u, v):
-        self._check_pair(u, v)
-        return float(self.matrix[u, v])
-
     def probability_row(self, u):
-        self._check_pair(0 if u else 1, u)
+        self._check_vertex(u)
         return self.matrix[u].copy()
 
     def __repr__(self):
@@ -171,8 +162,6 @@ class ExampleFamilyModel(EdgeProbabilityModel):
     else defaults to b.
     """
 
-    kind = "example_family"
-
     def __init__(self, n: int, a: float, b: float):
         super().__init__(n)
         if n < 16:
@@ -185,23 +174,8 @@ class ExampleFamilyModel(EdgeProbabilityModel):
         self.first_block_end = int(n / math.log(n))        # k, exclusive
         self.second_block_end = int(2 * n / math.log(n))   # exclusive
 
-    def probability(self, u, v):
-        self._check_pair(u, v)
-        if u > v:
-            u, v = v, u
-        n = self.n
-        if v == n - 1:
-            return self.a
-        if v - u == 1:
-            return 1.0  # cycle edge; the (0, n-1) wrap is the case above
-        if v < self.first_block_end:
-            return 1.0
-        if u >= self.first_block_end and v < self.second_block_end:
-            return 0.0
-        return self.b
-
     def probability_row(self, u):
-        self._check_pair(0 if u else 1, u)
+        self._check_vertex(u)
         n, k, k2 = self.n, self.first_block_end, self.second_block_end
         row = np.full(n, self.b)
         if u < k:
@@ -289,7 +263,7 @@ def check_condition(stats: AlphaStats, n: int, beta: float, gamma: float) -> Con
     must not exceed max(1/2, 1 - sqrt(alpha_e / 2)) - n^-gamma. The margin
     is the smaller slack, negative when violated.
     """
-    _check_exponents(beta, gamma)
+    check_exponents(beta, gamma)
     if n < 2:
         raise ValueError("condition check needs n >= 2")
     lower_slack = stats.alpha_low - n ** (-beta)
@@ -304,7 +278,8 @@ def check_condition(stats: AlphaStats, n: int, beta: float, gamma: float) -> Con
     )
 
 
-def _check_exponents(beta: float, gamma: float):
+def check_exponents(beta: float, gamma: float):
+    """Reject exponents outside beta in (0, 1/2) and gamma in (0, 1/2 - beta)."""
     if not 0.0 < beta < 0.5:
         raise ValueError(f"beta must lie in (0, 1/2), got {beta}")
     if not 0.0 < gamma < 0.5 - beta:
@@ -347,9 +322,40 @@ def sample_graph(model: EdgeProbabilityModel, rng) -> Graph:
 #   a: 0.4
 #   b: 0.2
 #
-# "type: homogeneous" takes "p:"; "type: matrix" takes "matrix_file:" whose
-# file holds n-1 whitespace-separated lower-triangular rows (row i lists
-# p(i,0) .. p(i,i-1)).
+# Every type takes "n" plus the keys listed for it in MODEL_KINDS. The file
+# named by "matrix_file" holds n-1 whitespace-separated lower-triangular
+# rows (row i lists p(i,0) .. p(i,i-1)).
+
+# model type -> (class, {key its constructor takes after n: what it sets})
+MODEL_KINDS = {
+    "homogeneous": (HomogeneousModel, {"p": "edge probability"}),
+    "example_family": (
+        ExampleFamilyModel,
+        {"a": "last-vertex probability", "b": "background probability"},
+    ),
+    "matrix": (ExplicitModel, {"matrix_file": "lower-triangular rows"}),
+}
+
+
+def build_model(fields, base_dir=".") -> EdgeProbabilityModel:
+    """Build a model from its spec keys: "type", "n" and the type's own keys.
+
+    Values may be text or already parsed; a missing, None or empty value
+    is an error and keys the type does not take are ignored. A "matrix_file"
+    path resolves against base_dir.
+    """
+    kind = _spec_value(fields, "type")
+    if kind not in MODEL_KINDS:
+        raise ModelError(f"unknown model type {kind!r}")
+    cls, keys = MODEL_KINDS[kind]
+    n = _spec_number(fields, "n", int, "an integer")
+    args = [
+        read_lower_triangular(Path(base_dir) / _spec_value(fields, key), n)
+        if key == "matrix_file"
+        else _spec_number(fields, key, float, "a number")
+        for key in keys
+    ]
+    return cls(n, *args)
 
 
 def parse_model_spec(text: str, base_dir=".") -> EdgeProbabilityModel:
@@ -362,23 +368,7 @@ def parse_model_spec(text: str, base_dir=".") -> EdgeProbabilityModel:
         if not sep:
             raise ModelError(f"malformed model spec line: {line!r}")
         fields[key.strip()] = value.strip()
-
-    kind = fields.get("type")
-    if kind is None:
-        raise ModelError("model spec is missing 'type'")
-    n = _spec_int(fields, "n")
-    if kind == "homogeneous":
-        return HomogeneousModel(n, _spec_float(fields, "p"))
-    if kind == "example_family":
-        return ExampleFamilyModel(n, _spec_float(fields, "a"), _spec_float(fields, "b"))
-    if kind == "matrix":
-        name = fields.get("matrix_file")
-        if not name:
-            raise ModelError("matrix model spec is missing 'matrix_file'")
-        path = Path(base_dir) / name
-        matrix = read_lower_triangular(path, n)
-        return ExplicitModel(n, matrix)
-    raise ModelError(f"unknown model type {kind!r}")
+    return build_model(fields, base_dir)
 
 
 def load_model_spec(path) -> EdgeProbabilityModel:
@@ -386,22 +376,21 @@ def load_model_spec(path) -> EdgeProbabilityModel:
     return parse_model_spec(path.read_text(encoding="utf-8"), base_dir=path.parent)
 
 
-def _spec_int(fields, key) -> int:
-    if key not in fields:
+def _spec_value(fields, key):
+    value = fields.get(key)
+    if value is None or value == "":
         raise ModelError(f"model spec is missing {key!r}")
-    try:
-        return int(fields[key])
-    except ValueError:
-        raise ModelError(f"model spec field {key!r} must be an integer, got {fields[key]!r}") from None
+    return value
 
 
-def _spec_float(fields, key) -> float:
-    if key not in fields:
-        raise ModelError(f"model spec is missing {key!r}")
+def _spec_number(fields, key, convert, what):
+    value = _spec_value(fields, key)
+    if not isinstance(value, str):
+        return value  # already parsed; the model's constructor checks it
     try:
-        return float(fields[key])
+        return convert(value)
     except ValueError:
-        raise ModelError(f"model spec field {key!r} must be a number, got {fields[key]!r}") from None
+        raise ModelError(f"model spec field {key!r} must be {what}, got {value!r}") from None
 
 
 def read_lower_triangular(path, n: int) -> np.ndarray:

@@ -37,6 +37,8 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
     Sizes below t cannot work: every odd vertex needs an incident added
     edge and one edge serves at most two of them.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be None or >= 0, got {cap}")
     if g.n > ORACLE_MAX_VERTICES:
         raise OracleSizeError(
             f"exact search is exponential in the complement size; "

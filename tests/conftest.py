@@ -1,12 +1,17 @@
 """Shared test helpers: small independent reference implementations.
 
-Everything here works on plain (n, edge set) pairs with dicts and sets,
-deliberately avoiding the package's bitset machinery, so tests compare
-two unrelated computations of the same quantity.
+The graph references work on plain (n, edge set) pairs with dicts and
+sets, deliberately avoiding the package's bitset machinery, so tests
+compare two unrelated computations of the same quantity.
 """
 
+import math
 import re
 from itertools import combinations
+
+import numpy as np
+
+from eulerext import HomogeneousModel, sample_graph, trial_seed
 
 
 def adj_sets(n, edges):
@@ -92,6 +97,48 @@ def is_valid_extension_ref(n, edges, added):
         return False
     union = base | set(extra)
     return connected_ref(n, union) and not odd_vertices_ref(n, union)
+
+
+
+def family_probability_ref(n, a, b, u, v):
+    """Pointwise rule of the example family, one pair at a time.
+
+    With k = floor(n / ln n): the last vertex's pairs are a (its cycle
+    edges included), then cycle edges are 1, pairs inside {0..k-1} are 1,
+    pairs inside {k..2n/ln n - 1} are 0, and everything else is b.
+    """
+    if u > v:
+        u, v = v, u
+    k = int(n / math.log(n))
+    k2 = int(2 * n / math.log(n))
+    if v == n - 1:
+        return a
+    if v - u == 1:
+        return 1.0  # cycle edge; the (0, n-1) wrap is the case above
+    if v < k:
+        return 1.0
+    if u >= k and v < k2:
+        return 0.0
+    return b
+
+
+def odd_fraction_probe(n, p, trials, seed=0):
+    """Mean fraction of odd-degree vertices over sampled same-probability graphs.
+
+    For p strictly inside (0, 1) the fraction concentrates near 1/2; the
+    p = 1 endpoint is allowed for parity sanity checks on complete graphs.
+    """
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"edge probability must lie in (0, 1], got {p}")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    model = HomogeneousModel(n, p)
+    total = 0.0
+    for i in range(trials):
+        rng = np.random.default_rng(trial_seed(seed, i))
+        g = sample_graph(model, rng)
+        total += len(g.odd_vertices()) / n
+    return total / trials
 
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")

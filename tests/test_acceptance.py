@@ -28,7 +28,6 @@ from eulerext import (
     e_good_check,
     extend,
     min_extension_exact,
-    odd_fraction_probe,
     run_trials,
     sample_graph,
     step_success_bound,
@@ -37,7 +36,7 @@ from eulerext import (
 )
 from eulerext.cli import main as cli_main
 
-from conftest import random_connected_edges
+from conftest import odd_fraction_probe, random_connected_edges
 
 
 def test_criterion_1_structured_family_run():

@@ -197,9 +197,6 @@ def test_e_all_threshold_arithmetic():
     assert e_all_check(Graph(20))
     k20 = Graph.from_edge_list(20, [(u, v) for u in range(20) for v in range(u + 1, 20)])
     assert not e_all_check(k20)
-    # nominal-size override: the empty graph on 20 vertices fails the floor
-    # evaluated as if n were 10^6 ((ln 1e6)^3/2 = 1319.6 > 18)
-    assert not e_all_check(Graph(20), n=10**6)
     with pytest.raises(ValueError):
         e_all_check(Graph(1))
 

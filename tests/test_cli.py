@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import eulerext
 from eulerext import (
     EXIT_BAD_CONFIG,
     EXIT_IO,
@@ -228,6 +231,50 @@ def test_bounds_custom_exponents(capsys):
     assert obj["step_bound"]["product_log"] == 0.0  # default t = 0
 
 
+# -- spec file and inline flags --
+
+
+@pytest.mark.parametrize(
+    "kind, keys",
+    [
+        ("homogeneous", {"n": "30", "p": "0.3"}),
+        ("example_family", {"n": "40", "a": "0.6", "b": "0.2"}),
+        ("matrix", {"n": "3", "matrix_file": "m.tri"}),
+    ],
+)
+def test_spec_file_and_inline_flags_agree(tmp_path, capsys, monkeypatch, kind, keys):
+    # inline flags are the spec keys; a relative matrix_file resolves
+    # against the spec file's directory or, inline, the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.tri").write_text("0.5\n0.25 0.75\n")
+
+    def spec(fields):
+        path = tmp_path / "model.spec"
+        path.write_text(f"type: {kind}\n" + "".join(f"{k}: {v}\n" for k, v in fields.items()))
+        return ["--model", str(path)]
+
+    def inline(fields):
+        flags = ["--model-type", kind]
+        for key, value in fields.items():
+            flags += ["--" + key.replace("_", "-"), value]
+        return flags
+
+    outputs = []
+    for name, model_args in (("spec", spec(keys)), ("inline", inline(keys))):
+        assert main(["bounds", *model_args, "--t", "2"]) == EXIT_OK
+        bounds_out = capsys.readouterr().out
+        edges = tmp_path / f"{name}.edges"
+        assert main(["sample", *model_args, "--seed", "5", "--out", str(edges)]) == EXIT_OK
+        capsys.readouterr()
+        outputs.append((bounds_out, edges.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+    missing = dict(list(keys.items())[:-1])
+    for model_args in (spec(missing), inline(missing)):
+        assert main(["sample", *model_args]) == EXIT_BAD_CONFIG
+    assert "is missing" in capsys.readouterr().err
+
+
 # -- experiment --
 
 
@@ -325,6 +372,12 @@ def test_negative_probe_budget_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o.edges").exists()
 
 
+def test_negative_oracle_cap_is_config_error(tmp_path, capsys):
+    path = write_graph(tmp_path, "p.edges", 3, [(0, 1), (1, 2)])
+    code, obj = run_cli(capsys, "oracle", "--graph", path, "--cap", "-1")
+    assert code == EXIT_BAD_CONFIG and obj is None
+
+
 def test_bad_spec_file_is_config_error(tmp_path, capsys):
     spec = tmp_path / "weird.spec"
     spec.write_text("type: quantum\nn: 5\n")
@@ -348,11 +401,14 @@ def test_error_messages_go_to_stderr(tmp_path, capsys):
 
 
 def test_console_script_entry_point(tmp_path):
-    # the installed script must behave like main(); one end-to-end check
+    # the installed script must behave like main(); one end-to-end check.
+    # The child imports the same eulerext as this process, installed or not.
+    source = str(Path(eulerext.__file__).parent.parent)
+    pythonpath = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "eulerext.cli", "sample",
          "--model-type", "homogeneous", "--n", "16", "--p", "0.5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 16

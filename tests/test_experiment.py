@@ -13,7 +13,6 @@ from eulerext import (
     Summary,
     TrialRecord,
     min_extension_exact,
-    odd_fraction_probe,
     run_single_trial,
     run_trials,
     sample_graph,
@@ -21,6 +20,8 @@ from eulerext import (
     trial_seed,
     write_records,
 )
+
+from conftest import odd_fraction_probe
 
 
 # -- seed derivation --

@@ -334,6 +334,12 @@ def test_verify_flags_bad_edges():
     assert any("twice" in v for v in rep.violations)
     rep = verify_extension(g, ok_result([(0, 1)]))
     assert any("already in the input" in v for v in rep.violations)
+    # integer-like endpoints count as their value; bools, floats and text
+    # are reported, never raised
+    assert verify_extension(g, ok_result([(np.int64(0), np.int64(2))])).ok
+    for bad in (True, np.True_, 2.0, "2"):
+        rep = verify_extension(g, ok_result([(0, bad)]))
+        assert not rep and any("non-integer endpoint" in v for v in rep.violations)
 
 
 def test_verify_flags_parity_and_connectivity():

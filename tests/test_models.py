@@ -20,6 +20,8 @@ from eulerext import (
     sample_graph,
 )
 
+from conftest import family_probability_ref
+
 
 def symmetric_matrix(n, seed):
     r = np.random.default_rng(seed)
@@ -128,7 +130,7 @@ def test_family_row_matches_pointwise(n):
         assert row[u] == 0.0
         for v in range(n):
             if v != u:
-                assert row[v] == m.probability(u, v)
+                assert row[v] == family_probability_ref(n, 0.8, 0.25, u, v)
 
 
 def test_row_value_counts_agree_with_rows():
@@ -343,6 +345,8 @@ def test_parse_spec_errors():
         parse_model_spec("just words\n")
     with pytest.raises(ModelError):
         parse_model_spec("type: matrix\nn: 3\n")  # no matrix_file
+    with pytest.raises(ModelError):
+        parse_model_spec("type: matrix\nn: 3\nmatrix_file:\n")  # empty, not the spec's directory
 
 
 def test_matrix_spec_resolves_relative_to_spec_file(tmp_path):
