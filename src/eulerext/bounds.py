@@ -11,6 +11,8 @@ throughout.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import Graph
 from .models import AlphaStats, check_exponents
 
@@ -110,19 +112,24 @@ def e_good_check(g: Graph, stats: AlphaStats, params: BoundParams) -> GoodEventC
 
 
 def min_common_non_neighbors(g: Graph) -> int:
-    """Minimum over all vertex pairs of the common non-neighbor count."""
+    """Minimum over all vertex pairs of the common non-neighbor count.
+
+    One float32 product of the 0/1 non-neighbour matrix with its
+    transpose counts every pair at once. The counts are integers no
+    larger than n, and float32 holds every integer up to 2^24 exactly.
+    """
     n = g.n
     if n < 2:
         raise ValueError("need at least two vertices")
-    non = [g.non_neighbors_mask(u) for u in range(n)]
-    best = n
-    for u in range(n - 1):
-        nu = non[u]
-        for v in range(u + 1, n):
-            c = (nu & non[v]).bit_count()
-            if c < best:
-                best = c
-    return best
+    width = (n + 7) // 8
+    full = (1 << n) - 1
+    # row u is g.non_neighbors_mask(u), read without the per-call vertex check
+    rows = [(full & ~(a | 1 << u)).to_bytes(width, "little") for u, a in enumerate(g._adj)]
+    packed = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(n, width)
+    non = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.float32)
+    common = non @ non.T
+    np.fill_diagonal(common, n)  # above every pair's count, so u = v never wins
+    return int(common.min())
 
 
 def e_all_check(g: Graph) -> bool:

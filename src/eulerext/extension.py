@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .graph import Graph
+from .graph import Graph, _bits
 
 __all__ = [
     "PHASE_PAIRING",
@@ -87,20 +87,20 @@ def phase_pairing(g: Graph) -> tuple[list[AddedEdge], list[int]]:
     a clique of odd-degree vertices.
     """
     odd = sorted(g.odd_vertices())
-    matched: set[int] = set()
+    free = 0
+    for u in odd:
+        free |= 1 << u
     added: list[AddedEdge] = []
-    for i, u in enumerate(odd):
-        if u in matched:
+    for u in odd:
+        if not (free >> u) & 1:
             continue
-        for v in odd[i + 1:]:
-            if v in matched or g.has_edge(u, v):
-                continue
+        candidates = g.non_neighbors_mask(u) & free & (-1 << (u + 1))
+        if candidates:
+            v = (candidates & -candidates).bit_length() - 1
             g.add_edge(u, v)
             added.append(AddedEdge(u, v, PHASE_PAIRING))
-            matched.add(u)
-            matched.add(v)
-            break
-    residual = [u for u in odd if u not in matched]
+            free &= ~((1 << u) | (1 << v))
+    residual = [u for u in odd if (free >> u) & 1]
     return added, residual
 
 
@@ -132,10 +132,15 @@ def phase_clique_reduction(g: Graph, residual: list[int]) -> tuple[list[AddedEdg
 
 
 def _find_reduction(g: Graph, pending: list[int], blocked: int):
-    for i, x in enumerate(pending):
-        nx = g.non_neighbors_mask(x)
-        for y in pending[i + 1:]:
-            candidates = nx & g.non_neighbors_mask(y) & ~blocked
+    # a pending x with no unblocked non-neighbour cannot be in any detour
+    open_masks = []
+    for x in pending:
+        mask = g.non_neighbors_mask(x) & ~blocked
+        if mask:
+            open_masks.append((x, mask))
+    for i, (x, nx) in enumerate(open_masks):
+        for y, ny in open_masks[i + 1:]:
+            candidates = nx & ny
             if candidates:
                 z = (candidates & -candidates).bit_length() - 1
                 return x, y, z
@@ -181,22 +186,35 @@ def _valid_three_path(g: Graph, u: int, v: int, y: int, z: int):
     """Edges of a three-edge detour from u to v through y then z, or None."""
     if y == z or y == u or y == v or z == u or z == v:
         return None
-    if g.has_edge(y, z):
+    adj = g._adj
+    if (adj[y] >> z) & 1:
         return None
     mid = (min(y, z), max(y, z))
-    if not g.has_edge(u, y) and not g.has_edge(z, v):
+    if not (adj[u] >> y) & 1 and not (adj[z] >> v) & 1:
         return ((min(u, y), max(u, y)), mid, (min(z, v), max(z, v)))
-    if not g.has_edge(u, z) and not g.has_edge(y, v):
+    if not (adj[u] >> z) & 1 and not (adj[y] >> v) & 1:
         return ((min(u, z), max(u, z)), mid, (min(y, v), max(y, v)))
     return None
 
 
 def _scan_three_path(g: Graph, u: int, v: int):
-    for y in range(g.n):
-        for z in range(g.n):
-            triple = _valid_three_path(g, u, v, y, z)
-            if triple is not None:
-                return triple
+    """First detour of the (y, z) lexicographic scan, or None.
+
+    For each middle vertex y, the z that complete u-y-z-v are the common
+    non-neighbours of y and v (when y is a non-neighbour of u), and the z
+    that complete u-z-y-v are those of y and u (when y is a non-neighbour
+    of v); the lowest z of either set is the scan's witness for that y.
+    """
+    nu, nv = g.non_neighbors_mask(u), g.non_neighbors_mask(v)
+    ends = (1 << u) | (1 << v)
+    for y in _bits((nu | nv) & ~ends):
+        ny = g.non_neighbors_mask(y) & ~ends
+        first = ny & nv if (nu >> y) & 1 else 0
+        second = ny & nu if (nv >> y) & 1 else 0
+        zs = first | second
+        if zs:
+            z = (zs & -zs).bit_length() - 1
+            return _valid_three_path(g, u, v, y, z)
     return None
 
 

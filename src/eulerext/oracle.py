@@ -48,11 +48,8 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
     if cap is None:
         cap = 3 * t
 
-    comp = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                comp.append((u, v))
+    adj = g._adj
+    comp = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not (adj[u] >> v) & 1]
     masks = [(1 << u) | (1 << v) for u, v in comp]
     odd_mask = 0
     for u in g.odd_vertices():

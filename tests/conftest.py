@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from eulerext import HomogeneousModel, sample_graph, trial_seed
+from eulerext import PHASE_PAIRING, AddedEdge, HomogeneousModel, sample_graph, trial_seed
 
 
 def adj_sets(n, edges):
@@ -98,6 +98,76 @@ def is_valid_extension_ref(n, edges, added):
     union = base | set(extra)
     return connected_ref(n, union) and not odd_vertices_ref(n, union)
 
+
+# -- the pair-at-a-time loops the engine and e_all_check replaced with
+# word-parallel kernels, kept as references (public Graph API only) --
+
+
+def min_common_non_neighbors_ref(g):
+    n = g.n
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    non = [g.non_neighbors_mask(u) for u in range(n)]
+    best = n
+    for u in range(n - 1):
+        nu = non[u]
+        for v in range(u + 1, n):
+            c = (nu & non[v]).bit_count()
+            if c < best:
+                best = c
+    return best
+
+
+def phase_pairing_ref(g):
+    odd = sorted(g.odd_vertices())
+    matched = set()
+    added = []
+    for i, u in enumerate(odd):
+        if u in matched:
+            continue
+        for v in odd[i + 1:]:
+            if v in matched or g.has_edge(u, v):
+                continue
+            g.add_edge(u, v)
+            added.append(AddedEdge(u, v, PHASE_PAIRING))
+            matched.add(u)
+            matched.add(v)
+            break
+    residual = [u for u in odd if u not in matched]
+    return added, residual
+
+
+def find_reduction_ref(g, pending, blocked):
+    for i, x in enumerate(pending):
+        nx = g.non_neighbors_mask(x)
+        for y in pending[i + 1:]:
+            candidates = nx & g.non_neighbors_mask(y) & ~blocked
+            if candidates:
+                z = (candidates & -candidates).bit_length() - 1
+                return x, y, z
+    return None
+
+
+def valid_three_path_ref(g, u, v, y, z):
+    if y == z or y == u or y == v or z == u or z == v:
+        return None
+    if g.has_edge(y, z):
+        return None
+    mid = (min(y, z), max(y, z))
+    if not g.has_edge(u, y) and not g.has_edge(z, v):
+        return ((min(u, y), max(u, y)), mid, (min(z, v), max(z, v)))
+    if not g.has_edge(u, z) and not g.has_edge(y, v):
+        return ((min(u, z), max(u, z)), mid, (min(y, v), max(y, v)))
+    return None
+
+
+def scan_three_path_ref(g, u, v):
+    for y in range(g.n):
+        for z in range(g.n):
+            triple = valid_three_path_ref(g, u, v, y, z)
+            if triple is not None:
+                return triple
+    return None
 
 
 def family_probability_ref(n, a, b, u, v):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from eulerext import (
     DEFAULT_BETA,
     DEFAULT_GAMMA,
     BoundParams,
+    ExampleFamilyModel,
     Graph,
     HomogeneousModel,
     alpha_stats,
@@ -22,7 +24,7 @@ from eulerext import (
     step_success_bound,
 )
 
-from conftest import common_non_neighbors_ref, random_edges
+from conftest import common_non_neighbors_ref, min_common_non_neighbors_ref, random_edges
 
 
 # -- tail bound --
@@ -189,6 +191,36 @@ def test_min_common_non_neighbors_matches_reference(n, seed):
     )
     assert min_common_non_neighbors(g) == ref
     assert e_all_check(g) == (ref >= math.log(n) ** 3 / 2.0)
+
+
+
+@given(st.integers(2, 12), st.floats(0.0, 0.95), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_min_common_non_neighbors_matches_pair_loop(n, p, seed):
+    g = Graph.from_edge_list(n, random_edges(random.Random(seed), n, p))
+    assert min_common_non_neighbors(g) == min_common_non_neighbors_ref(g)
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 63, 64, 65, 257])
+def test_min_common_non_neighbors_packing_boundaries(n):
+    # sizes on either side of a byte and a 64-bit word, so the last,
+    # partly filled byte of each packed row is exercised
+    assert min_common_non_neighbors(Graph(n)) == n - 2
+    assert min_common_non_neighbors(Graph.from_edge_list(n, combinations(range(n), 2))) == 0
+    star = Graph.from_edge_list(n, [(u, n - 1) for u in range(n - 1)])
+    assert min_common_non_neighbors(star) == 0
+    # the zero comes only from pairs holding the last vertex: any other
+    # pair shares the remaining n - 3 vertices
+    others = [
+        (star.non_neighbors_mask(u) & star.non_neighbors_mask(w)).bit_count()
+        for u, w in combinations(range(n - 1), 2)
+    ]
+    assert all(c == n - 3 for c in others)
+
+
+def test_min_common_non_neighbors_family_300():
+    g = sample_graph(ExampleFamilyModel(300, 0.4, 0.2), np.random.default_rng(7))
+    assert min_common_non_neighbors(g) == min_common_non_neighbors_ref(g)
 
 
 def test_e_all_threshold_arithmetic():

@@ -8,16 +8,8 @@ from pathlib import Path
 import pytest
 
 import eulerext
-from eulerext import (
-    EXIT_BAD_CONFIG,
-    EXIT_IO,
-    EXIT_OK,
-    Graph,
-    load_edge_list,
-    save_edge_list,
-    trial_seed,
-)
-from eulerext.cli import main
+from eulerext import Graph, load_edge_list, save_edge_list, trial_seed
+from eulerext.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_OK, main
 
 
 def run_cli(capsys, *argv):
@@ -400,15 +392,26 @@ def test_error_messages_go_to_stderr(tmp_path, capsys):
     assert "error:" in captured.err
 
 
-def test_console_script_entry_point(tmp_path):
-    # the installed script must behave like main(); one end-to-end check.
+def run_module(*argv):
     # The child imports the same eulerext as this process, installed or not.
     source = str(Path(eulerext.__file__).parent.parent)
     pythonpath = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "eulerext.cli", "sample",
-         "--model-type", "homogeneous", "--n", "16", "--p", "0.5"],
+    return subprocess.run(
+        [sys.executable, "-m", "eulerext.cli", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def test_console_script_entry_point():
+    # the installed script must behave like main(); one end-to-end check.
+    proc = run_module("sample", "--model-type", "homogeneous", "--n", "16", "--p", "0.5")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 16
+
+
+def test_module_run_is_quiet():
+    # the package must not import cli, or -m would run a second copy of it
+    # and warn on stderr
+    proc = run_module("bounds", "--model-type", "homogeneous", "--n", "100", "--p", "0.2", "--t", "3")
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -16,6 +16,7 @@ from eulerext import (
     ExtensionResult,
     Graph,
     extend,
+    extension,
     phase_clique_reduction,
     phase_pairing,
     phase_three_paths,
@@ -24,10 +25,14 @@ from eulerext import (
 
 from conftest import (
     all_pairs,
+    find_reduction_ref,
     is_valid_extension_ref,
     odd_vertices_ref,
+    phase_pairing_ref,
     random_connected_edges,
     random_edges,
+    scan_three_path_ref,
+    valid_three_path_ref,
 )
 
 
@@ -309,6 +314,72 @@ def test_extend_invariants_random(n, seed, use_rng):
         assert is_valid_extension_ref(n, list(g.edges()), r.edge_pairs())
     else:
         assert r.failing_pair is not None
+
+
+# -- word-parallel kernels against the pair-at-a-time loops they replaced --
+
+# densities up to 0.95 leave odd cliques behind, so phases two and three
+# run and some exhaustive scans fail
+dense_graphs = st.builds(
+    lambda n, p, seed: graph(n, random_edges(random.Random(seed), n, p)),
+    st.integers(2, 12),
+    st.floats(0.0, 0.95),
+    st.integers(0, 10**6),
+)
+
+
+def with_references(run):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extension, "_find_reduction", find_reduction_ref)
+        mp.setattr(extension, "_scan_three_path", scan_three_path_ref)
+        mp.setattr(extension, "_valid_three_path", valid_three_path_ref)
+        return run()
+
+
+@given(dense_graphs, st.data())
+@settings(max_examples=200, deadline=None)
+def test_find_reduction_matches_reference(g, data):
+    pending = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    blocked = data.draw(st.integers(0, (1 << g.n) - 1))
+    found = extension._find_reduction(g, pending, blocked)
+    assert found == find_reduction_ref(g, pending, blocked)
+
+
+@given(dense_graphs)
+@settings(max_examples=60, deadline=None)
+def test_scan_three_path_matches_reference(g):
+    for u, v in all_pairs(g.n):
+        assert extension._scan_three_path(g, u, v) == scan_three_path_ref(g, u, v)
+        assert extension._scan_three_path(g, v, u) == scan_three_path_ref(g, v, u)
+
+
+@given(dense_graphs, st.booleans(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_phases_match_references(g, use_rng, budget, seed):
+    def run(pairing):
+        work = g.copy()
+        added, residual = pairing(work)
+        two_path, pending = phase_clique_reduction(work, residual)
+        rng = np.random.default_rng(seed) if use_rng else None
+        outcome = phase_three_paths(work, pending, rng, budget)
+        return added, residual, two_path, pending, outcome, work
+
+    assert run(phase_pairing) == with_references(lambda: run(phase_pairing_ref))
+
+
+@given(dense_graphs, st.data(), st.integers(0, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_three_paths_on_any_pairs_match_references(g, data, budget, seed):
+    # phase three on vertex pairs that need not form a clique
+    chosen = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    pend = chosen[: len(chosen) // 2 * 2]
+    for rng_seed in (None, seed):
+        def run():
+            work = g.copy()
+            rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+            return phase_three_paths(work, pend, rng, budget), work
+
+        assert run() == with_references(run)
 
 
 # -- verify_extension as an adversarial checker --
