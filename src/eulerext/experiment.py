@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import DEFAULT_BETA, DEFAULT_GAMMA, default_params, e_all_check, e_good_check
-from .extension import extend, verify_extension
+from .extension import FAIL_DISCONNECTED, extend, verify_extension
 from .models import EdgeProbabilityModel, alpha_stats, sample_graph
 from .oracle import ORACLE_MAX_VERTICES, min_extension_exact
 
@@ -141,7 +141,6 @@ def run_single_trial(
     g = sample_graph(model, rng)
     stats = alpha_stats(model)
     params = default_params(model.n, beta, gamma)
-    connected = g.is_connected()
     good = e_good_check(g, stats, params)
     all_ok = e_all_check(g)
 
@@ -167,7 +166,7 @@ def run_single_trial(
         m_sampled=g.m,
         delta_sampled=g.max_degree(),
         t_value=result.t_input,
-        connected=connected,
+        connected=result.failure_reason != FAIL_DISCONNECTED,
         e_good_deg=good.deg_ok,
         e_good_edge=good.edge_ok,
         e_all=all_ok,

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .graph import Graph, _bits
+from .graph import Graph, GraphError, _bits
 
 __all__ = [
     "PHASE_PAIRING",
@@ -86,12 +86,9 @@ def phase_pairing(g: Graph) -> tuple[list[AddedEdge], list[int]]:
     over was adjacent to everything left over, so the returned residual is
     a clique of odd-degree vertices.
     """
-    odd = sorted(g.odd_vertices())
-    free = 0
-    for u in odd:
-        free |= 1 << u
+    odd = free = g.odd_mask
     added: list[AddedEdge] = []
-    for u in odd:
+    for u in _bits(odd):
         if not (free >> u) & 1:
             continue
         candidates = g.non_neighbors_mask(u) & free & (-1 << (u + 1))
@@ -100,8 +97,7 @@ def phase_pairing(g: Graph) -> tuple[list[AddedEdge], list[int]]:
             g.add_edge(u, v)
             added.append(AddedEdge(u, v, PHASE_PAIRING))
             free &= ~((1 << u) | (1 << v))
-    residual = [u for u in odd if (free >> u) & 1]
-    return added, residual
+    return added, list(_bits(free))
 
 
 def phase_clique_reduction(g: Graph, residual: list[int]) -> tuple[list[AddedEdge], list[int]]:
@@ -111,10 +107,9 @@ def phase_clique_reduction(g: Graph, residual: list[int]) -> tuple[list[AddedEdg
     smallest z outside the *input* residual set with both (x, z) and
     (y, z) absent and add those two edges; repeat until no pair has such
     a detour. Mutates g; returns the added edges and the pending leftovers.
+    Raises GraphError for an invalid or repeated vertex in residual.
     """
-    blocked = 0
-    for u in residual:
-        blocked |= 1 << u
+    blocked = _vertex_set(g, residual)
     pending = list(residual)
     added: list[AddedEdge] = []
     while True:
@@ -154,9 +149,11 @@ def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: i
     pair (u, v) it probes uniformly random (y, z) up to the attempt budget
     looking for a detour u-y-z-v (either orientation) made of three absent
     edges, then falls back to a full lexicographic scan. Only a pair with
-    no detour at all stops the phase.
+    no detour at all stops the phase. Raises GraphError for an invalid or
+    repeated vertex in clique, before any probe or edge.
     """
     n = g.n
+    _vertex_set(g, clique)
     pend = sorted(clique)
     if len(pend) % 2:
         raise AssertionError("odd-degree vertices always come in pairs")
@@ -180,6 +177,17 @@ def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: i
             g.add_edge(lo, hi)
             added.append(AddedEdge(lo, hi, PHASE_THREE_PATH))
     return ThreePathOutcome(tuple(added), attempts, failing_pair=None)
+
+
+def _vertex_set(g: Graph, vertices) -> int:
+    """Bitset of the given vertices, each checked by Graph's vertex rule."""
+    mask = 0
+    for v in vertices:
+        g._check_vertex(v)
+        if (mask >> v) & 1:
+            raise GraphError(f"vertex {v} is listed twice")
+        mask |= 1 << v
+    return mask
 
 
 def _valid_three_path(g: Graph, u: int, v: int, y: int, z: int):
@@ -224,13 +232,14 @@ def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> Extens
     The input graph is left untouched. With an rng, phase three probes
     random detours first (default budget 64 * ceil(ln n) per pair); with
     rng=None it goes straight to the deterministic exhaustive scan, so the
-    whole run is reproducible without a seed.
+    whole run is reproducible without a seed. The failure reason is
+    FAIL_DISCONNECTED exactly when g is not connected.
     """
     if max_random_attempts is not None and max_random_attempts < 0:
         raise ValueError(f"max_random_attempts must be None or >= 0, got {max_random_attempts}")
-    t = g.t_value()
     if not g.is_connected():
-        return ExtensionResult(False, t, (), failure_reason=FAIL_DISCONNECTED)
+        return ExtensionResult(False, g.t_value(), (), failure_reason=FAIL_DISCONNECTED)
+    t = g.t_value()
     if t == 0:
         return ExtensionResult(True, 0, ())
     if max_random_attempts is None:
@@ -302,9 +311,9 @@ def verify_extension(g: Graph, result: ExtensionResult) -> VerificationReport:
     union = g.copy()
     for u, v in seen:
         union.add_edge(u, v)
-    odd = union.odd_vertices()
+    odd = union.odd_mask.bit_count()
     if odd:
-        violations.append(f"{len(odd)} vertices still have odd degree")
+        violations.append(f"{odd} vertices still have odd degree")
     if not union.is_connected():
         violations.append("extended graph is not connected")
     if len(result.added_edges) > 3 * g.t_value():

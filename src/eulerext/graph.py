@@ -56,9 +56,10 @@ class EulerCircuit:
 
 
 class Graph:
-    """Mutable simple undirected graph."""
+    """Mutable simple undirected graph; its edge count and odd-vertex
+    bitset are kept current as edges are added."""
 
-    __slots__ = ("n", "_adj", "_m")
+    __slots__ = ("n", "_adj", "_m", "_odd")
 
     def __init__(self, n: int):
         if n < 0:
@@ -69,6 +70,7 @@ class Graph:
             raise GraphError(f"vertex count {n} is too large") from None
         self.n = n
         self._m = 0
+        self._odd = 0  # bitset of odd-degree vertices
 
     @classmethod
     def from_edge_list(cls, n: int, edges) -> "Graph":
@@ -88,7 +90,10 @@ class Graph:
         if n:
             packed = np.packbits(matrix, axis=1, bitorder="little")
             g._adj = [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
-            g._m = int(matrix.sum()) // 2
+            degrees = matrix.sum(axis=1)
+            g._m = int(degrees.sum()) // 2
+            odd = np.packbits(degrees & 1, bitorder="little")
+            g._odd = int.from_bytes(odd.tobytes(), "little")
         return g
 
     # -- basic queries ---------------------------------------------------
@@ -97,14 +102,15 @@ class Graph:
     def m(self) -> int:
         return self._m
 
+    @property
+    def odd_mask(self) -> int:
+        """Bitset of the odd-degree vertices."""
+        return self._odd
+
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
         return (self._adj[u] >> v) & 1 == 1
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._adj[v].bit_count()
 
     def max_degree(self) -> int:
         if self.n == 0:
@@ -117,10 +123,6 @@ class Graph:
         full = (1 << self.n) - 1
         return ~(self._adj[v] | (1 << v)) & full
 
-    def neighbors(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        return list(_bits(self._adj[v]))
-
     def edges(self):
         """Yield edges as (u, v) with u < v, lexicographically."""
         for u in range(self.n):
@@ -128,17 +130,18 @@ class Graph:
                 yield (u, u + 1 + v)
 
     def odd_vertices(self) -> set[int]:
-        return {v for v in range(self.n) if self._adj[v].bit_count() & 1}
+        return set(_bits(self._odd))
 
     def t_value(self) -> int:
         """Half the number of odd-degree vertices."""
-        return len(self.odd_vertices()) // 2
+        return self._odd.bit_count() // 2
 
     def copy(self) -> "Graph":
         g = Graph.__new__(Graph)
         g.n = self.n
         g._adj = self._adj.copy()
         g._m = self._m
+        g._odd = self._odd
         return g
 
     # -- mutation --------------------------------------------------------
@@ -159,12 +162,6 @@ class Graph:
             return True
         return self._reachable_from(0) == (1 << n) - 1
 
-    def common_non_neighbors(self, u: int, v: int) -> set[int]:
-        """Vertices outside {u, v} adjacent to neither u nor v."""
-        if u == v:
-            raise GraphError("common_non_neighbors needs two distinct vertices")
-        return set(_bits(self.non_neighbors_mask(u) & self.non_neighbors_mask(v)))
-
     def eulerian_circuit(self) -> EulerCircuit:
         """Extract an Eulerian circuit, always following the lowest-numbered
         available neighbour, so the output is deterministic.
@@ -172,7 +169,7 @@ class Graph:
         Isolated vertices are ignored for the connectivity requirement.
         Raises NotEulerianError with reason "odd_vertices" or "disconnected".
         """
-        if self.odd_vertices():
+        if self._odd:
             raise NotEulerianError("odd_vertices")
         live = 0
         for v in range(self.n):
@@ -221,6 +218,7 @@ class Graph:
         self._adj[u] |= 1 << v
         self._adj[v] |= 1 << u
         self._m += 1
+        self._odd ^= (1 << u) | (1 << v)
 
     def _check_vertex(self, v: int):
         if not isinstance(v, int) or isinstance(v, bool):
@@ -253,12 +251,14 @@ class Graph:
 # (u < v, lexicographically sorted)
 
 
+def _data_lines(text: str) -> list[str]:
+    """Lines of a text input with "#" comments, blank lines and padding removed."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
+
+
 def parse_edge_list(text: str) -> Graph:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line)
+    rows = _data_lines(text)
     if not rows:
         raise GraphError("empty edge-list input")
     try:

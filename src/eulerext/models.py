@@ -13,12 +13,11 @@ alpha_up == a for the example family bit-exact.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _data_lines
 
 __all__ = [
     "ModelError",
@@ -289,12 +288,6 @@ def check_exponents(beta: float, gamma: float):
 # -- sampling ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _pair_indices(n: int):
-    iu, iv = np.triu_indices(n, k=1)
-    return iu.astype(np.int32), iv.astype(np.int32)
-
-
 def sample_graph(model: EdgeProbabilityModel, rng) -> Graph:
     """Draw one graph: each pair u < v appears independently with p(u, v).
 
@@ -303,14 +296,10 @@ def sample_graph(model: EdgeProbabilityModel, rng) -> Graph:
     """
     n = model.n
     pvec = model.pair_probabilities()
-    draws = rng.random(pvec.shape[0])
-    included = draws < pvec
-    iu, iv = _pair_indices(n)
-    adj = np.zeros((n, n), dtype=bool)
-    su, sv = iu[included], iv[included]
-    adj[su, sv] = True
-    adj[sv, su] = True
-    return Graph.from_bool_adjacency(adj)
+    upper = np.zeros((n, n), dtype=bool)
+    # a boolean mask is filled in row-major order, which is the (u, v) order
+    upper[~np.tri(n, dtype=bool)] = rng.random(len(pvec)) < pvec
+    return Graph.from_bool_adjacency(upper | upper.T)
 
 
 # -- model spec files --------------------------------------------------------
@@ -360,10 +349,7 @@ def build_model(fields, base_dir=".") -> EdgeProbabilityModel:
 
 def parse_model_spec(text: str, base_dir=".") -> EdgeProbabilityModel:
     fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _data_lines(text):
         key, sep, value = line.partition(":")
         if not sep:
             raise ModelError(f"malformed model spec line: {line!r}")
@@ -400,11 +386,7 @@ def read_lower_triangular(path, n: int) -> np.ndarray:
     is zero. OS-level read failures propagate as OSError.
     """
     text = Path(path).read_text(encoding="utf-8")
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
+    rows = [line.split() for line in _data_lines(text)]
     if len(rows) != n - 1:
         raise ModelError(f"expected {n - 1} lower-triangular rows, got {len(rows)}")
     mat = np.zeros((n, n))

@@ -51,16 +51,14 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
     adj = g._adj
     comp = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not (adj[u] >> v) & 1]
     masks = [(1 << u) | (1 << v) for u, v in comp]
-    odd_mask = 0
-    for u in g.odd_vertices():
-        odd_mask |= 1 << u
+    odd = g.odd_mask
 
     for k in range(t, min(cap, len(comp)) + 1):
         for chosen in combinations(range(len(comp)), k):
             parity = 0
             for i in chosen:
                 parity ^= masks[i]
-            if parity != odd_mask:
+            if parity != odd:
                 continue
             trial = g.copy()
             for i in chosen:

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from eulerext import PHASE_PAIRING, AddedEdge, HomogeneousModel, sample_graph, trial_seed
+from eulerext import PHASE_PAIRING, AddedEdge, Graph, HomogeneousModel, sample_graph, trial_seed
 
 
 def adj_sets(n, edges):
@@ -43,6 +43,10 @@ def connected_ref(n, edges):
 def odd_vertices_ref(n, edges):
     adj = adj_sets(n, edges)
     return {v for v in range(n) if len(adj[v]) % 2 == 1}
+
+
+def bitset(vertices):
+    return sum(1 << v for v in vertices)
 
 
 def common_non_neighbors_ref(n, edges, u, v):
@@ -168,6 +172,20 @@ def scan_three_path_ref(g, u, v):
             if triple is not None:
                 return triple
     return None
+
+
+def sample_graph_ref(model, rng):
+    """The scatter sampler that sample_graph's triangle mask replaced."""
+    n = model.n
+    pvec = model.pair_probabilities()
+    draws = rng.random(pvec.shape[0])
+    included = draws < pvec
+    iu, iv = np.triu_indices(n, k=1)
+    adj = np.zeros((n, n), dtype=bool)
+    su, sv = iu[included], iv[included]
+    adj[su, sv] = True
+    adj[sv, su] = True
+    return Graph.from_bool_adjacency(adj)
 
 
 def family_probability_ref(n, a, b, u, v):

@@ -128,6 +128,21 @@ def test_single_trial_matches_manual_replay():
     assert g.is_connected() == r.connected
 
 
+def test_single_trial_connected_comes_from_the_engine():
+    # at p=0.15 most samples are disconnected and some are not; at p=0.95
+    # some connected samples fail in phase three. n is above the oracle's
+    # cap, whose search is slow on disconnected samples
+    seen = set()
+    for model in (HomogeneousModel(16, 0.15), HomogeneousModel(13, 0.95)):
+        for i in range(40):
+            r = run_single_trial(model, i, base_seed=4)
+            g = sample_graph(model, np.random.default_rng(trial_seed(4, i)))
+            assert r.connected == g.is_connected()
+            assert (r.failure_reason == "disconnected_input") == (not r.connected)
+            seen.add((r.connected, r.failure_reason))
+    assert seen == {(False, "disconnected_input"), (True, None), (True, "no_three_path")}
+
+
 def test_single_trial_oracle_cross_check():
     # n = 10 <= the oracle limit, so every record carries the exact answer
     for i in range(8):

@@ -15,6 +15,7 @@ from eulerext import (
     AddedEdge,
     ExtensionResult,
     Graph,
+    GraphError,
     extend,
     extension,
     phase_clique_reduction,
@@ -182,6 +183,26 @@ def test_three_path_rejects_degenerate_probes():
 def test_three_path_odd_pending_rejected():
     with pytest.raises(AssertionError):
         phase_three_paths(Graph(5), [0, 1, 2], None, 0)
+
+
+BAD_VERTEX_LISTS = [[0, 1.0], [0, 0], [-1, 0], [0, 5], [True, 0], [0, 1, 2, 1]]
+
+
+@pytest.mark.parametrize("vertices", BAD_VERTEX_LISTS, ids=repr)
+def test_three_path_rejects_bad_vertices_before_any_probe(vertices):
+    g, rng = Graph(5), np.random.default_rng(0)
+    with pytest.raises(GraphError):
+        phase_three_paths(g, vertices, rng, 5)
+    assert g == Graph(5) and g.m == 0
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+@pytest.mark.parametrize("vertices", BAD_VERTEX_LISTS, ids=repr)
+def test_clique_reduction_rejects_bad_vertices(vertices):
+    g = Graph(5)
+    with pytest.raises(GraphError):
+        phase_clique_reduction(g, vertices)
+    assert g == Graph(5) and g.m == 0
 
 
 # -- extend: full engine --

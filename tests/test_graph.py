@@ -18,6 +18,8 @@ from eulerext import (
 
 from conftest import (
     all_graph_edge_sets,
+    all_pairs,
+    bitset,
     circuit_covers,
     common_non_neighbors_ref,
     connected_ref,
@@ -109,7 +111,7 @@ def test_add_existing_edge_rejected():
 
 def test_add_edge_on_empty_pair():
     g = Graph(2).add_edge(0, 1)
-    assert g.degree(0) == 1 and g.degree(1) == 1 and g.m == 1
+    assert g.has_edge(1, 0) and g.odd_vertices() == {0, 1} and g.m == 1
 
 
 def test_add_edge_self_loop_rejected():
@@ -153,7 +155,8 @@ def test_handshake_through_mutations(n, seed):
     rnd.shuffle(pairs)
     for u, v in pairs[: rnd.randint(0, len(pairs))]:
         g.add_edge(u, v)
-        assert sum(g.degree(x) for x in range(n)) == 2 * g.m
+        degrees = [n - 1 - g.non_neighbors_mask(x).bit_count() for x in range(n)]
+        assert sum(degrees) == 2 * g.m
     assert g.m <= n * (n - 1) // 2
 
 
@@ -168,7 +171,7 @@ def test_odd_vertices_and_t():
 
 def test_degree_stats():
     g = k4()
-    assert all(g.degree(v) == 3 for v in range(4))
+    assert all(g.non_neighbors_mask(v) == 0 for v in range(4))
     assert g.max_degree() == 3 and g.m == 6
     assert Graph(5).max_degree() == 0 and Graph(5).m == 0
     assert star().max_degree() == 3 and star().m == 3
@@ -176,7 +179,7 @@ def test_degree_stats():
 
 def test_degree_out_of_range():
     with pytest.raises(GraphError):
-        p3().degree(3)
+        p3().non_neighbors_mask(3)
 
 
 @given(st.integers(1, 9), st.integers(0, 10**6))
@@ -189,6 +192,29 @@ def test_odd_set_even_and_matches_reference(n, seed):
     assert len(odd) % 2 == 0
     assert odd == odd_vertices_ref(n, edges)
     assert g.t_value() == len(odd) // 2
+
+
+@given(st.integers(1, 12), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_odd_mask_tracks_every_construction_and_insertion(n, seed):
+    rnd = random.Random(seed)
+    edges = random_edges(rnd, n, rnd.random())
+    adjacency = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adjacency[u, v] = adjacency[v, u] = True
+    expected = bitset(odd_vertices_ref(n, edges))
+    g = Graph.from_edge_list(n, edges)
+    assert g.odd_mask == expected
+    assert Graph.from_bool_adjacency(adjacency).odd_mask == expected
+    g = g.copy()
+    assert g.odd_mask == expected
+    absent = [(u, v) for u, v in all_pairs(n) if not g.has_edge(u, v)]
+    rnd.shuffle(absent)
+    for u, v in absent[: rnd.randint(0, len(absent))]:
+        g.add_edge(*rnd.choice([(u, v), (v, u)]))
+        edges.append((u, v))
+        odd = odd_vertices_ref(n, edges)
+        assert g.odd_mask == bitset(odd) and g.t_value() == len(odd) // 2
 
 
 # -- connectivity --
@@ -212,16 +238,16 @@ def test_is_connected_matches_reference(n, seed):
 # -- common non-neighbors --
 
 
+def common_non_neighbors(g, u, v):
+    both = g.non_neighbors_mask(u) & g.non_neighbors_mask(v)
+    return {z for z in range(g.n) if (both >> z) & 1}
+
+
 def test_common_non_neighbors_cases():
-    assert p3().common_non_neighbors(0, 2) == set()
-    assert Graph(4).common_non_neighbors(0, 1) == {2, 3}
+    assert common_non_neighbors(p3(), 0, 2) == set()
+    assert common_non_neighbors(Graph(4), 0, 1) == {2, 3}
     p4 = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-    assert p4.common_non_neighbors(0, 1) == {3}
-
-
-def test_common_non_neighbors_diagonal_rejected():
-    with pytest.raises(GraphError):
-        p3().common_non_neighbors(1, 1)
+    assert common_non_neighbors(p4, 0, 1) == {3}
 
 
 @given(st.integers(2, 9), st.integers(0, 10**6))
@@ -235,7 +261,7 @@ def test_common_non_neighbors_matches_reference(n, seed):
         v = rnd.randrange(n)
         if u == v:
             continue
-        assert g.common_non_neighbors(u, v) == common_non_neighbors_ref(n, edges, u, v)
+        assert common_non_neighbors(g, u, v) == common_non_neighbors_ref(n, edges, u, v)
 
 
 # -- Eulerian circuits --
@@ -337,10 +363,9 @@ def test_equality_by_structure():
 
 
 def test_neighbors_sorted():
-    g = star()
-    assert g.neighbors(0) == [1, 2, 3]
-    assert g.neighbors(2) == [0]
-    assert sorted(g.edges()) == [(0, 1), (0, 2), (0, 3)]
+    # edges() lists each vertex's higher neighbours in ascending order
+    g = Graph.from_edge_list(4, [(2, 0), (0, 3), (1, 0), (3, 1)])
+    assert list(g.edges()) == [(0, 1), (0, 2), (0, 3), (1, 3)]
 
 
 # -- edge-list text format --

@@ -20,7 +20,7 @@ from eulerext import (
     sample_graph,
 )
 
-from conftest import family_probability_ref
+from conftest import family_probability_ref, sample_graph_ref
 
 
 def symmetric_matrix(n, seed):
@@ -311,6 +311,24 @@ def test_sample_edge_count_sane():
 def test_sample_two_vertices():
     g = sample_graph(HomogeneousModel(2, 1.0), np.random.default_rng(0))
     assert g.m == 1
+
+
+SAMPLER_SIZES = (2, 3, 8, 9, 16, 63, 64, 65, 300)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [HomogeneousModel(n, p) for n in SAMPLER_SIZES for p in (0.1, 0.5, 0.9)]
+    + [ExampleFamilyModel(n, 0.4, 0.2) for n in SAMPLER_SIZES if n >= 16],
+    ids=repr,
+)
+def test_sample_matches_scatter_reference(model):
+    # same graph from the same uniforms, and the generator left in the same state
+    for seed in (0, 1, 2**40 + 7):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        g, ref = sample_graph(model, rng), sample_graph_ref(model, rng_ref)
+        assert g == ref and g.m == ref.m
+        assert rng.random() == rng_ref.random()
 
 
 # -- model spec files --
