@@ -5,9 +5,10 @@ pair is sampled independently. Uniform draws happen in ascending (u, v)
 order, so a fixed seed always reproduces the same graph.
 
 Alpha statistics (the min / max per-vertex average probability and the
-overall pair average) are computed in exact rational arithmetic and only
-rounded on the way out; this keeps guaranteed identities like
-alpha_up == a for the example family bit-exact.
+overall pair average) are computed in exact rational arithmetic, one row
+sum per class of vertices with the same row values, and only rounded on
+the way out; this keeps guaranteed identities like alpha_up == a for the
+example family bit-exact.
 """
 
 import math
@@ -70,8 +71,9 @@ class EdgeProbabilityModel:
     def row_value_counts(self, u: int) -> list[tuple[float, int]]:
         """Distinct probability values of row u with multiplicities.
 
-        The diagonal slot is excluded; counts sum to n - 1. Subclasses with
-        O(1) structure may override, the default tallies the actual row.
+        Tallied from probability_row(u) in ascending value order, so two
+        rows with the same multiset give equal lists. The diagonal slot is
+        excluded; counts sum to n - 1.
         """
         row = self.probability_row(u)
         values, counts = np.unique(row, return_counts=True)
@@ -82,6 +84,16 @@ class EdgeProbabilityModel:
             if count:
                 out.append((value, count))
         return out
+
+    def row_classes(self) -> list[tuple[range, list[tuple[float, int]]]]:
+        """The vertices as (vertices, value counts) classes.
+
+        Every vertex of a class has the row multiset given by the class's
+        row_value_counts, and each vertex lies in exactly one class. The
+        default is one class per vertex; subclasses that know which rows
+        repeat return fewer, which is what keeps alpha_stats cheap.
+        """
+        return [(range(u, u + 1), self.row_value_counts(u)) for u in range(self.n)]
 
     def pair_probabilities(self) -> np.ndarray:
         """Probabilities for all pairs u < v in lexicographic order (cached)."""
@@ -119,8 +131,8 @@ class HomogeneousModel(EdgeProbabilityModel):
         row[u] = 0.0
         return row
 
-    def row_value_counts(self, u):
-        return [(self.p, self.n - 1)]
+    def row_classes(self):
+        return [(range(self.n), [(self.p, self.n - 1)])]
 
     def __repr__(self):
         return f"HomogeneousModel(n={self.n}, p={self.p})"
@@ -192,6 +204,19 @@ class ExampleFamilyModel(EdgeProbabilityModel):
         row[u] = 0.0
         return row
 
+    def row_classes(self):
+        # rows differ only at the block ends and at the last vertex and its
+        # cycle mates 0 and n-2, so each run strictly between two of these
+        # cuts is one class
+        n, k, k2 = self.n, self.first_block_end, self.second_block_end
+        cuts = sorted({0, k - 1, k, k2 - 1, k2, n - 2, n - 1})
+        classes = []
+        for lo, hi in zip(cuts, cuts[1:] + [n]):
+            classes.append((range(lo, lo + 1), self.row_value_counts(lo)))
+            if hi > lo + 1:
+                classes.append((range(lo + 1, hi), self.row_value_counts(lo + 1)))
+        return classes
+
     def __repr__(self):
         return f"ExampleFamilyModel(n={self.n}, a={self.a}, b={self.b})"
 
@@ -215,31 +240,32 @@ def alpha_stats(model: EdgeProbabilityModel) -> AlphaStats:
     alpha_low / alpha_up are the min / max over vertices of the average
     probability towards the other n-1 vertices; alpha_e is the average over
     all pairs. Computed with Fractions so that e.g. a homogeneous model
-    reports (p, p, p) exactly. Results are cached on the model.
+    reports (p, p, p) exactly. The rows come from model.row_classes(), and
+    classes with equal value counts share one exact row sum, so the cost
+    is O(#row classes) Fraction operations plus filling per_vertex_avg.
+    Results are cached on the model.
     """
     if model._alpha is not None:
         return model._alpha
     n = model.n
-    seen: dict[float, Fraction] = {}
-    sums = []
-    for u in range(n):
-        s = Fraction(0)
-        for value, count in model.row_value_counts(u):
-            frac = seen.get(value)
-            if frac is None:
-                frac = seen[value] = Fraction(value)
-            s += frac * count
-        sums.append(s)
-    averages = [s / (n - 1) for s in sums]
-    low = min(averages)
-    up = max(averages)
-    # sum over rows counts each pair twice
-    overall = sum(sums) / (n * (n - 1))
+    groups: dict[tuple, list[range]] = {}
+    for vertices, value_counts in model.row_classes():
+        groups.setdefault(tuple(value_counts), []).append(vertices)
+    row_sums = []
+    total = Fraction(0)  # sum over rows, which counts each pair twice
+    per_vertex = [0.0] * n
+    for value_counts, ranges in groups.items():
+        s = sum(Fraction(value) * count for value, count in value_counts)
+        row_sums.append(s)
+        total += s * sum(len(r) for r in ranges)
+        average = float(s / (n - 1))
+        for r in ranges:
+            per_vertex[r.start:r.stop:r.step] = [average] * len(r)
     stats = AlphaStats(
-        alpha_low=float(low),
-        alpha_up=float(up),
-        alpha_e=float(overall),
-        per_vertex_avg=tuple(float(x) for x in averages),
+        alpha_low=float(min(row_sums) / (n - 1)),
+        alpha_up=float(max(row_sums) / (n - 1)),
+        alpha_e=float(total / (n * (n - 1))),
+        per_vertex_avg=tuple(per_vertex),
     )
     model._alpha = stats
     return stats

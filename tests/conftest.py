@@ -7,11 +7,20 @@ compare two unrelated computations of the same quantity.
 
 import math
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from eulerext import PHASE_PAIRING, AddedEdge, Graph, HomogeneousModel, sample_graph, trial_seed
+from eulerext import (
+    PHASE_PAIRING,
+    AddedEdge,
+    AlphaStats,
+    Graph,
+    HomogeneousModel,
+    sample_graph,
+    trial_seed,
+)
 
 
 def adj_sets(n, edges):
@@ -186,6 +195,37 @@ def sample_graph_ref(model, rng):
     adj[su, sv] = True
     adj[sv, su] = True
     return Graph.from_bool_adjacency(adj)
+
+
+def alpha_stats_ref(model):
+    """The per-row alpha_stats that the row-class version replaced.
+
+    One exact Fraction row sum per vertex from row_value_counts. It does
+    not read or fill the model's cache, so it never hands back the
+    library's answer.
+    """
+    n = model.n
+    seen: dict[float, Fraction] = {}
+    sums = []
+    for u in range(n):
+        s = Fraction(0)
+        for value, count in model.row_value_counts(u):
+            frac = seen.get(value)
+            if frac is None:
+                frac = seen[value] = Fraction(value)
+            s += frac * count
+        sums.append(s)
+    averages = [s / (n - 1) for s in sums]
+    low = min(averages)
+    up = max(averages)
+    # sum over rows counts each pair twice
+    overall = sum(sums) / (n * (n - 1))
+    return AlphaStats(
+        alpha_low=float(low),
+        alpha_up=float(up),
+        alpha_e=float(overall),
+        per_vertex_avg=tuple(float(x) for x in averages),
+    )
 
 
 def family_probability_ref(n, a, b, u, v):

@@ -211,6 +211,20 @@ def test_bounds_spec_file_with_size_override(tmp_path, capsys):
     assert obj["params"]["epsilon"] == pytest.approx(10000.0 ** -0.3)
 
 
+def test_bounds_family_at_paper_scale(capsys):
+    code, obj = run_cli(
+        capsys,
+        "bounds", "--model-type", "example_family", "--n", "300000",
+        "--a", "0.4", "--b", "0.2",
+    )
+    assert code == EXIT_OK
+    assert obj["n"] == 300000
+    assert obj["alpha"]["alpha_up"] == 0.4
+    # below the window's opening size the upper cap is still under 0.4
+    assert obj["condition"]["holds"] is False
+    assert obj["condition"]["upper_slack"] < 0
+
+
 def test_bounds_custom_exponents(capsys):
     code, obj = run_cli(
         capsys,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerext import (
@@ -20,7 +20,7 @@ from eulerext import (
     sample_graph,
 )
 
-from conftest import family_probability_ref, sample_graph_ref
+from conftest import alpha_stats_ref, family_probability_ref, sample_graph_ref
 
 
 def symmetric_matrix(n, seed):
@@ -223,6 +223,94 @@ def test_alpha_ordering_property(n, seed):
     assert s.alpha_e == pytest.approx(sum(s.per_vertex_avg) / n)
 
 
+# -- row classes --
+
+
+def test_row_classes_partition_the_rows():
+    models = [ExampleFamilyModel(n, 0.4, 0.2) for n in range(16, 201)]
+    models += [HomogeneousModel(n, p) for n in (2, 3, 17) for p in (0.0, 0.3, 1.0)]
+    models.append(ExplicitModel(5, symmetric_matrix(5, 3)))
+    for m in models:
+        covered = []
+        for vertices, counts in m.row_classes():
+            covered.extend(vertices)
+            for u in vertices:
+                assert m.row_value_counts(u) == counts, (m, u)
+        assert sorted(covered) == list(range(m.n)), m
+
+
+def test_alpha_stats_matches_reference_family():
+    for n in range(16, 201):
+        for a, b in [(0.4, 0.2), (0.8, 0.25), (0.3, 0.1)]:
+            m = ExampleFamilyModel(n, a, b)
+            assert alpha_stats(m) == alpha_stats_ref(m), m
+
+
+@given(
+    st.integers(16, 2000),
+    st.tuples(st.floats(0.001, 0.999), st.floats(0.001, 0.999)).filter(lambda ab: ab[0] != ab[1]),
+)
+@settings(max_examples=20, deadline=None)
+def test_alpha_stats_matches_reference_family_property(n, pair):
+    b, a = sorted(pair)
+    m = ExampleFamilyModel(n, a, b)
+    assert alpha_stats(m) == alpha_stats_ref(m)
+
+
+@given(st.integers(2, 1500), st.floats(0.0, 1.0))
+@example(2, 0.0)
+@example(2, 0.1)
+@example(2, 1.0)
+@example(3, 0.0)
+@example(3, 0.3)
+@example(3, 1.0)
+@settings(max_examples=20, deadline=None)
+def test_alpha_stats_matches_reference_homogeneous(n, p):
+    m = HomogeneousModel(n, p)
+    assert alpha_stats(m) == alpha_stats_ref(m)
+
+
+@given(
+    st.integers(2, 40),
+    st.integers(1, 4),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_alpha_stats_matches_reference_explicit(n, blocks, pool, seed, by_block):
+    # a small value pool repeats rows; block labels make every row of a
+    # block the same multiset
+    r = np.random.default_rng(seed)
+    if by_block:
+        label = r.integers(0, blocks, size=n)
+        table = np.triu(r.choice(pool, size=(blocks, blocks)))
+        table = table + np.triu(table, 1).T
+        mat = table[label][:, label]
+    else:
+        upper = np.triu(r.choice(pool, size=(n, n)), 1)
+        mat = upper + upper.T
+    m = ExplicitModel(n, mat)
+    assert alpha_stats(m) == alpha_stats_ref(m)
+
+
+def test_alpha_stats_row_calls_do_not_grow_with_n(monkeypatch):
+    # the family needs one row per class, the homogeneous model none
+    calls = []
+    for cls in (ExampleFamilyModel, HomogeneousModel):
+        def counting(self, u, row=cls.probability_row):
+            calls.append(u)
+            return row(self, u)
+        monkeypatch.setattr(cls, "probability_row", counting)
+    s = alpha_stats(ExampleFamilyModel(10**5, 0.4, 0.2))
+    assert s.alpha_up == 0.4
+    assert 0 < len(calls) <= 16
+    calls.clear()
+    s = alpha_stats(HomogeneousModel(10**5, 0.3))
+    assert s.alpha_e == 0.3
+    assert calls == []
+
+
 # -- density window check --
 
 
@@ -266,6 +354,18 @@ def test_condition_window_arithmetic():
     assert c.lower_slack == pytest.approx(0.45 - 10 ** -0.8, abs=1e-12)
     cap = max(0.5, 1 - math.sqrt(0.225)) - 10 ** -0.4
     assert c.upper_slack == pytest.approx(cap - 0.45, abs=1e-12)
+
+
+def test_family_density_window_opens_at_327646():
+    # the (0.4, 0.2) family under the default exponents (0.2, 0.1): the
+    # upper side binds (alpha_up = 0.4 exactly) and its cap reaches 0.4
+    # first at n = 327646, found by scanning every n from 16 upward
+    def window(n):
+        return check_condition(alpha_stats(ExampleFamilyModel(n, 0.4, 0.2)), n, 0.2, 0.1)
+
+    below, at = window(327_645), window(327_646)
+    assert not below.holds and below.upper_slack < 0 < below.lower_slack
+    assert at.holds
 
 
 # -- sampling --
