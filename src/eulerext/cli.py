@@ -2,8 +2,8 @@
 
 Structured results print as JSON on stdout; graphs and trial records go
 to files. Exit status: 0 = ran to completion (per-trial or per-graph
-engine failures are data, not errors), 2 = bad configuration or input,
-3 = file I/O problem.
+engine failures are data, not errors), 2 = bad configuration or input
+(including one too large to allocate), 3 = file I/O problem.
 """
 
 import argparse
@@ -232,6 +232,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except MemoryError as exc:
+        # an input too large to allocate, such as a huge vertex count
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
 

@@ -103,43 +103,32 @@ def phase_pairing(g: Graph) -> tuple[list[AddedEdge], list[int]]:
 def phase_clique_reduction(g: Graph, residual: list[int]) -> tuple[list[AddedEdge], list[int]]:
     """Fix clique pairs with two-edge detours through outside vertices.
 
-    For the smallest eligible pair (x, y) of pending vertices, pick the
-    smallest z outside the *input* residual set with both (x, z) and
-    (y, z) absent and add those two edges; repeat until no pair has such
-    a detour. Mutates g; returns the added edges and the pending leftovers.
-    Raises GraphError for an invalid or repeated vertex in residual.
+    One pass over residual in its given order: each unmatched x takes the
+    first later unmatched y that shares an absent-edge neighbour z outside
+    the *input* residual set, with z the smallest such, and the edges
+    (x, z) and (y, z) are added. A vertex's mask changes only when it is
+    matched, so one read per vertex suffices. Mutates g; returns the added
+    edges and the unmatched vertices in residual order. Raises GraphError
+    for an invalid or repeated vertex in residual.
     """
     blocked = _vertex_set(g, residual)
-    pending = list(residual)
+    masks = [g.non_neighbors_mask(x) & ~blocked for x in residual]
+    matched = 0
     added: list[AddedEdge] = []
-    while True:
-        found = _find_reduction(g, pending, blocked)
-        if found is None:
-            break
-        x, y, z = found
-        for a, b in ((x, z), (y, z)):
-            lo, hi = (a, b) if a < b else (b, a)
-            g.add_edge(lo, hi)
-            added.append(AddedEdge(lo, hi, PHASE_TWO_PATH))
-        pending.remove(x)
-        pending.remove(y)
-    return added, pending
-
-
-def _find_reduction(g: Graph, pending: list[int], blocked: int):
-    # a pending x with no unblocked non-neighbour cannot be in any detour
-    open_masks = []
-    for x in pending:
-        mask = g.non_neighbors_mask(x) & ~blocked
-        if mask:
-            open_masks.append((x, mask))
-    for i, (x, nx) in enumerate(open_masks):
-        for y, ny in open_masks[i + 1:]:
+    for i, (x, nx) in enumerate(zip(residual, masks)):
+        if not nx or (matched >> x) & 1:
+            continue
+        for y, ny in zip(residual[i + 1:], masks[i + 1:]):
             candidates = nx & ny
-            if candidates:
+            if candidates and not (matched >> y) & 1:
                 z = (candidates & -candidates).bit_length() - 1
-                return x, y, z
-    return None
+                for a, b in ((x, z), (y, z)):
+                    lo, hi = (a, b) if a < b else (b, a)
+                    g.add_edge(lo, hi)
+                    added.append(AddedEdge(lo, hi, PHASE_TWO_PATH))
+                matched |= (1 << x) | (1 << y)
+                break
+    return added, [x for x in residual if not (matched >> x) & 1]
 
 
 def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: int) -> ThreePathOutcome:
@@ -150,13 +139,14 @@ def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: i
     looking for a detour u-y-z-v (either orientation) made of three absent
     edges, then falls back to a full lexicographic scan. Only a pair with
     no detour at all stops the phase. Raises GraphError for an invalid or
-    repeated vertex in clique, before any probe or edge.
+    repeated vertex in clique, or for an odd number of them, before any
+    probe or edge.
     """
     n = g.n
     _vertex_set(g, clique)
+    if len(clique) % 2:
+        raise GraphError(f"{len(clique)} vertices cannot be paired")
     pend = sorted(clique)
-    if len(pend) % 2:
-        raise AssertionError("odd-degree vertices always come in pairs")
     added: list[AddedEdge] = []
     attempts = 0
     for u, v in zip(pend[::2], pend[1::2]):
@@ -243,7 +233,8 @@ def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> Extens
     if t == 0:
         return ExtensionResult(True, 0, ())
     if max_random_attempts is None:
-        max_random_attempts = 64 * math.ceil(math.log(g.n)) if g.n > 1 else 64
+        # t > 0 needs two odd vertices, so n >= 2 and the log is positive
+        max_random_attempts = 64 * math.ceil(math.log(g.n))
     work = g.copy()
     added, residual = phase_pairing(work)
     two_path, pending = phase_clique_reduction(work, residual)

@@ -14,6 +14,7 @@ import numpy as np
 
 from eulerext import (
     PHASE_PAIRING,
+    PHASE_TWO_PATH,
     AddedEdge,
     AlphaStats,
     Graph,
@@ -159,6 +160,28 @@ def find_reduction_ref(g, pending, blocked):
                 z = (candidates & -candidates).bit_length() - 1
                 return x, y, z
     return None
+
+
+def phase_clique_reduction_ref(g, residual):
+    """The restart loop the one-pass phase two replaced: find the first
+    pair again after every repair."""
+    blocked = 0
+    for v in residual:
+        blocked |= 1 << v
+    pending = list(residual)
+    added = []
+    while True:
+        found = find_reduction_ref(g, pending, blocked)
+        if found is None:
+            break
+        x, y, z = found
+        for a, b in ((x, z), (y, z)):
+            lo, hi = (a, b) if a < b else (b, a)
+            g.add_edge(lo, hi)
+            added.append(AddedEdge(lo, hi, PHASE_TWO_PATH))
+        pending.remove(x)
+        pending.remove(y)
+    return added, pending
 
 
 def valid_three_path_ref(g, u, v, y, z):

@@ -368,6 +368,17 @@ def test_huge_vertex_count_is_config_error(tmp_path, capsys):
         assert code == EXIT_BAD_CONFIG and obj is None
 
 
+def test_unallocatable_vertex_count_is_config_error(tmp_path):
+    # 2^62 fits an index, but CPython refuses a list that long before
+    # allocating anything, so the MemoryError costs no memory here
+    bad = tmp_path / "huge.edges"
+    bad.write_text(f"{2**62}\n")
+    proc = run_module("extend", "--graph", str(bad), "--out", str(tmp_path / "o.edges"))
+    assert proc.returncode == EXIT_BAD_CONFIG and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr
+
+
 def test_negative_probe_budget_is_config_error(tmp_path, capsys):
     path = write_graph(tmp_path, "p.edges", 3, [(0, 1), (1, 2)])
     code, obj = run_cli(

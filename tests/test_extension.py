@@ -26,9 +26,9 @@ from eulerext import (
 
 from conftest import (
     all_pairs,
-    find_reduction_ref,
     is_valid_extension_ref,
     odd_vertices_ref,
+    phase_clique_reduction_ref,
     phase_pairing_ref,
     random_connected_edges,
     random_edges,
@@ -133,6 +133,24 @@ def test_clique_reduction_partial():
     assert pending == [2, 3]
 
 
+def test_clique_reduction_reads_each_mask_once(monkeypatch):
+    # K6 with two outside vertices: three repairs, all through vertex 6;
+    # a search restarted after each repair would read the masks 12 times
+    g = graph(8, list(combinations(range(6), 2)))
+    residual = [0, 1, 2, 3, 4, 5]
+    reads = []
+    mask = Graph.non_neighbors_mask
+
+    def counted(self, u):
+        reads.append(u)
+        return mask(self, u)
+
+    monkeypatch.setattr(Graph, "non_neighbors_mask", counted)
+    added, pending = phase_clique_reduction(g, residual)
+    assert len(added) == 6 and pending == []
+    assert sorted(reads) == residual
+
+
 # -- phase three: three-edge detours --
 
 
@@ -181,14 +199,15 @@ def test_three_path_rejects_degenerate_probes():
 
 
 def test_three_path_odd_pending_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(GraphError):
         phase_three_paths(Graph(5), [0, 1, 2], None, 0)
 
 
 BAD_VERTEX_LISTS = [[0, 1.0], [0, 0], [-1, 0], [0, 5], [True, 0], [0, 1, 2, 1]]
 
 
-@pytest.mark.parametrize("vertices", BAD_VERTEX_LISTS, ids=repr)
+# an odd count is bad only for phase three, which pairs the vertices up
+@pytest.mark.parametrize("vertices", BAD_VERTEX_LISTS + [[0, 1, 2]], ids=repr)
 def test_three_path_rejects_bad_vertices_before_any_probe(vertices):
     g, rng = Graph(5), np.random.default_rng(0)
     with pytest.raises(GraphError):
@@ -351,19 +370,22 @@ dense_graphs = st.builds(
 
 def with_references(run):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extension, "_find_reduction", find_reduction_ref)
         mp.setattr(extension, "_scan_three_path", scan_three_path_ref)
         mp.setattr(extension, "_valid_three_path", valid_three_path_ref)
         return run()
 
 
-@given(dense_graphs, st.data())
-@settings(max_examples=200, deadline=None)
-def test_find_reduction_matches_reference(g, data):
-    pending = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
-    blocked = data.draw(st.integers(0, (1 << g.n) - 1))
-    found = extension._find_reduction(g, pending, blocked)
-    assert found == find_reduction_ref(g, pending, blocked)
+@given(dense_graphs, st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_clique_reduction_matches_reference(g, from_phase_one, data):
+    # residuals as phase one leaves them (odd cliques) or any vertex list
+    if from_phase_one:
+        _, residual = phase_pairing(g)
+    else:
+        residual = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    work, ref = g.copy(), g.copy()
+    assert phase_clique_reduction(work, residual) == phase_clique_reduction_ref(ref, residual)
+    assert work == ref
 
 
 @given(dense_graphs)
@@ -377,15 +399,17 @@ def test_scan_three_path_matches_reference(g):
 @given(dense_graphs, st.booleans(), st.integers(0, 4), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_phases_match_references(g, use_rng, budget, seed):
-    def run(pairing):
+    def run(pairing, clique_reduction):
         work = g.copy()
         added, residual = pairing(work)
-        two_path, pending = phase_clique_reduction(work, residual)
+        two_path, pending = clique_reduction(work, residual)
         rng = np.random.default_rng(seed) if use_rng else None
         outcome = phase_three_paths(work, pending, rng, budget)
         return added, residual, two_path, pending, outcome, work
 
-    assert run(phase_pairing) == with_references(lambda: run(phase_pairing_ref))
+    assert run(phase_pairing, phase_clique_reduction) == with_references(
+        lambda: run(phase_pairing_ref, phase_clique_reduction_ref)
+    )
 
 
 @given(dense_graphs, st.data(), st.integers(0, 6), st.integers(0, 2**32 - 1))
