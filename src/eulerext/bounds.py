@@ -121,12 +121,7 @@ def min_common_non_neighbors(g: Graph) -> int:
     n = g.n
     if n < 2:
         raise ValueError("need at least two vertices")
-    width = (n + 7) // 8
-    full = (1 << n) - 1
-    # row u is g.non_neighbors_mask(u), read without the per-call vertex check
-    rows = [(full & ~(a | 1 << u)).to_bytes(width, "little") for u, a in enumerate(g._adj)]
-    packed = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(n, width)
-    non = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.float32)
+    non = g.non_neighbor_matrix().astype(np.float32)
     common = non @ non.T
     np.fill_diagonal(common, n)  # above every pair's count, so u = v never wins
     return int(common.min())

@@ -3,7 +3,8 @@
 Structured results print as JSON on stdout; graphs and trial records go
 to files. Exit status: 0 = ran to completion (per-trial or per-graph
 engine failures are data, not errors), 2 = bad configuration or input
-(including one too large to allocate), 3 = file I/O problem.
+(including a number out of range or an input too large to allocate),
+3 = file I/O problem.
 """
 
 import argparse
@@ -230,7 +231,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a number too large for a float or an index, such as --n 10**400
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except MemoryError as exc:

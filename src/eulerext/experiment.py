@@ -85,7 +85,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.max_random_attempts is not None and (
-            not isinstance(self.max_random_attempts, int) or self.max_random_attempts < 0
+            type(self.max_random_attempts) is not int or self.max_random_attempts < 0
         ):
             raise ConfigError(f"max_random_attempts must be None or >= 0, got {self.max_random_attempts!r}")
         if self.out_format not in ("csv", "jsonl"):

@@ -150,17 +150,19 @@ def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: i
     added: list[AddedEdge] = []
     attempts = 0
     for u, v in zip(pend[::2], pend[1::2]):
+        ends = (1 << u) | (1 << v)
+        nu, nv = g.non_neighbors_mask(u) & ~ends, g.non_neighbors_mask(v) & ~ends
         triple = None
         if rng is not None:
             for _ in range(max_attempts_per_pair):
                 attempts += 1
                 y = int(rng.integers(n))
                 z = int(rng.integers(n))
-                triple = _valid_three_path(g, u, v, y, z)
+                triple = _valid_three_path(g, u, v, nu, nv, y, z)
                 if triple is not None:
                     break
         if triple is None:
-            triple = _scan_three_path(g, u, v)
+            triple = _scan_three_path(g, u, v, nu, nv)
         if triple is None:
             return ThreePathOutcome(tuple(added), attempts, failing_pair=(u, v))
         for lo, hi in triple:
@@ -180,39 +182,37 @@ def _vertex_set(g: Graph, vertices) -> int:
     return mask
 
 
-def _valid_three_path(g: Graph, u: int, v: int, y: int, z: int):
-    """Edges of a three-edge detour from u to v through y then z, or None."""
-    if y == z or y == u or y == v or z == u or z == v:
+def _valid_three_path(g: Graph, u: int, v: int, nu: int, nv: int, y: int, z: int):
+    """Edges of a three-edge detour from u to v through y then z, or None,
+    with nu and nv as in _scan_three_path."""
+    if (nu >> y) & 1 and (nv >> z) & 1:
+        a, b = y, z
+    elif (nu >> z) & 1 and (nv >> y) & 1:
+        a, b = z, y
+    else:
         return None
-    adj = g._adj
-    if (adj[y] >> z) & 1:
+    if not (g.non_neighbors_mask(y) >> z) & 1:  # also rejects y == z
         return None
-    mid = (min(y, z), max(y, z))
-    if not (adj[u] >> y) & 1 and not (adj[z] >> v) & 1:
-        return ((min(u, y), max(u, y)), mid, (min(z, v), max(z, v)))
-    if not (adj[u] >> z) & 1 and not (adj[y] >> v) & 1:
-        return ((min(u, z), max(u, z)), mid, (min(y, v), max(y, v)))
-    return None
+    return ((min(u, a), max(u, a)), (min(y, z), max(y, z)), (min(b, v), max(b, v)))
 
 
-def _scan_three_path(g: Graph, u: int, v: int):
-    """First detour of the (y, z) lexicographic scan, or None.
+def _scan_three_path(g: Graph, u: int, v: int, nu: int, nv: int):
+    """First detour of the (y, z) lexicographic scan, or None, given nu
+    and nv, the non-neighbours of u and of v other than u and v.
 
     For each middle vertex y, the z that complete u-y-z-v are the common
     non-neighbours of y and v (when y is a non-neighbour of u), and the z
     that complete u-z-y-v are those of y and u (when y is a non-neighbour
     of v); the lowest z of either set is the scan's witness for that y.
     """
-    nu, nv = g.non_neighbors_mask(u), g.non_neighbors_mask(v)
-    ends = (1 << u) | (1 << v)
-    for y in _bits((nu | nv) & ~ends):
-        ny = g.non_neighbors_mask(y) & ~ends
+    for y in _bits(nu | nv):
+        ny = g.non_neighbors_mask(y)
         first = ny & nv if (nu >> y) & 1 else 0
         second = ny & nu if (nv >> y) & 1 else 0
         zs = first | second
         if zs:
             z = (zs & -zs).bit_length() - 1
-            return _valid_three_path(g, u, v, y, z)
+            return _valid_three_path(g, u, v, nu, nv, y, z)
     return None
 
 
@@ -225,8 +225,9 @@ def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> Extens
     whole run is reproducible without a seed. The failure reason is
     FAIL_DISCONNECTED exactly when g is not connected.
     """
-    if max_random_attempts is not None and max_random_attempts < 0:
-        raise ValueError(f"max_random_attempts must be None or >= 0, got {max_random_attempts}")
+    # type() rather than isinstance(), so True is not taken for a budget of 1
+    if max_random_attempts is not None and (type(max_random_attempts) is not int or max_random_attempts < 0):
+        raise ValueError(f"max_random_attempts must be None or >= 0, got {max_random_attempts!r}")
     if not g.is_connected():
         return ExtensionResult(False, g.t_value(), (), failure_reason=FAIL_DISCONNECTED)
     t = g.t_value()

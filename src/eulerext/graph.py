@@ -84,7 +84,12 @@ class Graph:
 
     @classmethod
     def from_bool_adjacency(cls, matrix) -> "Graph":
-        """Build from a symmetric numpy bool matrix with a zero diagonal."""
+        """Build from a symmetric numpy bool matrix with a zero diagonal,
+        packing row u little-endian into u's bitset; GraphError otherwise."""
+        if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.bool_ and matrix.ndim == 2):
+            raise GraphError("adjacency must be a 2-d numpy bool matrix")
+        if not np.array_equal(matrix, matrix.T) or matrix.diagonal().any():
+            raise GraphError("adjacency must be square and symmetric with a zero diagonal")
         n = matrix.shape[0]
         g = cls(n)
         if n:
@@ -95,6 +100,16 @@ class Graph:
             odd = np.packbits(degrees & 1, bitorder="little")
             g._odd = int.from_bytes(odd.tobytes(), "little")
         return g
+
+    def non_neighbor_matrix(self) -> np.ndarray:
+        """n x n numpy bool matrix whose row v is non_neighbors_mask(v),
+        unpacked with from_bool_adjacency's little-endian layout."""
+        n = self.n
+        width = (n + 7) // 8
+        full = (1 << n) - 1
+        rows = [(full & ~(a | 1 << v)).to_bytes(width, "little") for v, a in enumerate(self._adj)]
+        packed = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(n, width)
+        return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(np.bool_)
 
     # -- basic queries ---------------------------------------------------
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from eulerext import (
     PHASE_PAIRING,
+    PHASE_THREE_PATH,
     PHASE_TWO_PATH,
     AddedEdge,
     AlphaStats,
@@ -22,6 +23,7 @@ from eulerext import (
     sample_graph,
     trial_seed,
 )
+from eulerext.extension import ThreePathOutcome
 
 
 def adj_sets(n, edges):
@@ -204,6 +206,31 @@ def scan_three_path_ref(g, u, v):
             if triple is not None:
                 return triple
     return None
+
+
+def phase_three_paths_ref(g, clique, rng, max_attempts_per_pair):
+    """Phase three's probe-then-scan loop over the two references above."""
+    pend = sorted(clique)
+    added = []
+    attempts = 0
+    for u, v in zip(pend[::2], pend[1::2]):
+        triple = None
+        if rng is not None:
+            for _ in range(max_attempts_per_pair):
+                attempts += 1
+                y = int(rng.integers(g.n))
+                z = int(rng.integers(g.n))
+                triple = valid_three_path_ref(g, u, v, y, z)
+                if triple is not None:
+                    break
+        if triple is None:
+            triple = scan_three_path_ref(g, u, v)
+        if triple is None:
+            return ThreePathOutcome(tuple(added), attempts, failing_pair=(u, v))
+        for lo, hi in triple:
+            g.add_edge(lo, hi)
+            added.append(AddedEdge(lo, hi, PHASE_THREE_PATH))
+    return ThreePathOutcome(tuple(added), attempts, failing_pair=None)
 
 
 def sample_graph_ref(model, rng):

@@ -379,6 +379,32 @@ def test_unallocatable_vertex_count_is_config_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+HUGE = str(10**400)  # beyond a float and an index
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--model-type", "homogeneous", "--n", HUGE, "--p", "0.3"],
+        ["bounds", "--model-type", "example_family", "--n", HUGE, "--a", "0.4", "--b", "0.2"],
+        ["bounds", "--model", "{spec}"],
+        ["bounds", "--model-type", "homogeneous", "--n", "100", "--p", "0.3", "--t", HUGE],
+        ["experiment", "--model-type", "homogeneous", "--n", HUGE, "--p", "0.3", "--trials", "1",
+         "--out", "{out}"],
+    ],
+    ids=["homogeneous", "family", "spec", "steps", "experiment"],
+)
+def test_huge_number_is_config_error(tmp_path, capsys, argv):
+    spec = tmp_path / "huge.model"
+    spec.write_text(f"type: homogeneous\nn: {HUGE}\np: 0.3\n")
+    argv = [a.format(spec=spec, out=tmp_path / "r.csv") for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_CONFIG and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_negative_probe_budget_is_config_error(tmp_path, capsys):
     path = write_graph(tmp_path, "p.edges", 3, [(0, 1), (1, 2)])
     code, obj = run_cli(

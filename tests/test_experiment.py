@@ -77,6 +77,8 @@ def test_config_defaults():
         dict(trials=2, gamma=0.5),
         dict(trials=2, max_random_attempts=-3),
         dict(trials=2, out_format="xml"),
+        dict(trials=2, max_random_attempts=True),
+        dict(trials=2, max_random_attempts=2.5),
     ],
 )
 def test_config_rejects(kwargs):

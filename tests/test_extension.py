@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from conftest import (
     odd_vertices_ref,
     phase_clique_reduction_ref,
     phase_pairing_ref,
+    phase_three_paths_ref,
     random_connected_edges,
     random_edges,
     scan_three_path_ref,
@@ -322,10 +323,13 @@ def test_extend_budget_override():
 
 
 def test_extend_rejects_negative_budget():
-    # checked before the early returns for disconnected and even inputs
-    for g in (graph(5, [(0, 1), (1, 2)]), graph(3, [(0, 1), (1, 2), (0, 2)]), Graph(1)):
-        with pytest.raises(ValueError):
-            extend(g, rng=np.random.default_rng(0), max_random_attempts=-4)
+    # checked before the early returns for disconnected and even inputs; a
+    # float or a bool is no budget either and gets the same message
+    k4 = graph(4, all_pairs(4))
+    for g in (graph(5, [(0, 1), (1, 2)]), graph(3, [(0, 1), (1, 2), (0, 2)]), Graph(1), k4):
+        for budget in (-4, 2.5, True):
+            with pytest.raises(ValueError, match="must be None or >= 0"):
+                extend(g, rng=np.random.default_rng(0), max_random_attempts=budget)
 
 
 @given(st.integers(2, 11), st.integers(0, 10**6), st.booleans())
@@ -368,13 +372,6 @@ dense_graphs = st.builds(
 )
 
 
-def with_references(run):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extension, "_scan_three_path", scan_three_path_ref)
-        mp.setattr(extension, "_valid_three_path", valid_three_path_ref)
-        return run()
-
-
 @given(dense_graphs, st.booleans(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_clique_reduction_matches_reference(g, from_phase_one, data):
@@ -388,27 +385,44 @@ def test_clique_reduction_matches_reference(g, from_phase_one, data):
     assert work == ref
 
 
+def inner_masks(g, u, v):
+    # the masks phase three hands its helpers: non-neighbours other than u and v
+    ends = (1 << u) | (1 << v)
+    return g.non_neighbors_mask(u) & ~ends, g.non_neighbors_mask(v) & ~ends
+
+
 @given(dense_graphs)
 @settings(max_examples=60, deadline=None)
 def test_scan_three_path_matches_reference(g):
     for u, v in all_pairs(g.n):
-        assert extension._scan_three_path(g, u, v) == scan_three_path_ref(g, u, v)
-        assert extension._scan_three_path(g, v, u) == scan_three_path_ref(g, v, u)
+        nu, nv = inner_masks(g, u, v)
+        assert extension._scan_three_path(g, u, v, nu, nv) == scan_three_path_ref(g, u, v)
+        assert extension._scan_three_path(g, v, u, nv, nu) == scan_three_path_ref(g, v, u)
+
+
+@given(dense_graphs.filter(lambda g: g.n <= 8))
+@settings(max_examples=60, deadline=None)
+def test_valid_three_path_matches_reference(g):
+    for u, v in product(range(g.n), repeat=2):
+        nu, nv = inner_masks(g, u, v)
+        for y, z in product(range(g.n), repeat=2):
+            got = extension._valid_three_path(g, u, v, nu, nv, y, z)
+            assert got == valid_three_path_ref(g, u, v, y, z)
 
 
 @given(dense_graphs, st.booleans(), st.integers(0, 4), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_phases_match_references(g, use_rng, budget, seed):
-    def run(pairing, clique_reduction):
+    def run(pairing, clique_reduction, three_paths):
         work = g.copy()
         added, residual = pairing(work)
         two_path, pending = clique_reduction(work, residual)
         rng = np.random.default_rng(seed) if use_rng else None
-        outcome = phase_three_paths(work, pending, rng, budget)
+        outcome = three_paths(work, pending, rng, budget)
         return added, residual, two_path, pending, outcome, work
 
-    assert run(phase_pairing, phase_clique_reduction) == with_references(
-        lambda: run(phase_pairing_ref, phase_clique_reduction_ref)
+    assert run(phase_pairing, phase_clique_reduction, phase_three_paths) == run(
+        phase_pairing_ref, phase_clique_reduction_ref, phase_three_paths_ref
     )
 
 
@@ -419,12 +433,12 @@ def test_three_paths_on_any_pairs_match_references(g, data, budget, seed):
     chosen = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
     pend = chosen[: len(chosen) // 2 * 2]
     for rng_seed in (None, seed):
-        def run():
+        def run(three_paths):
             work = g.copy()
             rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-            return phase_three_paths(work, pend, rng, budget), work
+            return three_paths(work, pend, rng, budget), work
 
-        assert run() == with_references(run)
+        assert run(phase_three_paths) == run(phase_three_paths_ref)
 
 
 # -- verify_extension as an adversarial checker --

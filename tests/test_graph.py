@@ -94,6 +94,47 @@ def test_from_bool_adjacency_matches_edge_list():
         assert g1.m == len(edges)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 63, 64, 65, 257])
+def test_non_neighbor_matrix_rows_are_the_masks(n):
+    # byte and word boundaries on either side of each width
+    edges = random_edges(random.Random(n), n, 0.4)
+    g = Graph.from_edge_list(n, edges)
+    non = g.non_neighbor_matrix()
+    assert non.shape == (n, n) and non.dtype == np.bool_
+    for v in range(n):
+        assert bitset(np.flatnonzero(non[v]).tolist()) == g.non_neighbors_mask(v)
+    # the complement off the diagonal is the adjacency matrix again
+    adjacency = ~non
+    np.fill_diagonal(adjacency, False)
+    back = Graph.from_bool_adjacency(adjacency)
+    assert back == g and back.m == g.m and back.odd_mask == g.odd_mask
+
+
+def one_sided():
+    matrix = np.zeros((2, 2), dtype=bool)
+    matrix[0, 1] = True
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.eye(3, dtype=bool),  # self-loops on the diagonal
+        one_sided(),  # (0, 1) without (1, 0)
+        np.zeros((3, 4), dtype=bool),  # not square
+        np.array([[0, 2], [2, 0]]),  # ints, not bools
+        np.array([[0, 1], [1, 0]]),  # a 0/1 int matrix is still not bool
+        np.zeros(3, dtype=bool),  # one dimension
+        np.zeros((2, 2, 2), dtype=bool),  # three dimensions
+        [[False, True], [True, False]],  # not a numpy array
+    ],
+    ids=["diagonal", "asymmetric", "non_square", "int_twos", "int_01", "1d", "3d", "list"],
+)
+def test_from_bool_adjacency_rejects_malformed(matrix):
+    with pytest.raises(GraphError):
+        Graph.from_bool_adjacency(matrix)
+
+
 # -- add_edge --
 
 

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,18 @@ def test_every_exported_name_resolves_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(eulerext, name), name
+
+
+def test_only_graph_reads_its_layout():
+    # the bitset list and its numpy packing are graph.py's business; every
+    # other module goes through Graph's methods
+    package = Path(eulerext.__file__).parent
+    readers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if re.search(r"\._adj\b|packbits|unpackbits", path.read_text(encoding="utf-8"))
+    )
+    assert readers == ["graph.py"]
 
 
 CHILD_TESTS = '''
