@@ -90,26 +90,51 @@ class Graph:
             raise GraphError("adjacency must be a 2-d numpy bool matrix")
         if not np.array_equal(matrix, matrix.T) or matrix.diagonal().any():
             raise GraphError("adjacency must be square and symmetric with a zero diagonal")
+        return cls._from_symmetric(matrix)
+
+    @classmethod
+    def _from_upper_triangle(cls, upper) -> "Graph":
+        """Build from a square numpy bool matrix that is False on and below
+        the diagonal. Unlike from_bool_adjacency it checks nothing: the
+        sampler draws the matrix this way."""
+        return cls._from_symmetric(upper | upper.T)
+
+    @classmethod
+    def _from_symmetric(cls, matrix) -> "Graph":
         n = matrix.shape[0]
         g = cls(n)
         if n:
             packed = np.packbits(matrix, axis=1, bitorder="little")
-            g._adj = [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
-            degrees = matrix.sum(axis=1)
-            g._m = int(degrees.sum()) // 2
-            odd = np.packbits(degrees & 1, bitorder="little")
-            g._odd = int.from_bytes(odd.tobytes(), "little")
+            width = packed.shape[1]
+            rows = packed.tobytes()
+            g._adj = [int.from_bytes(rows[i : i + width], "little") for i in range(0, n * width, width)]
+            g._m = sum(a.bit_count() for a in g._adj) // 2
+            # by symmetry, bit v of the XOR of all rows is the parity of deg v
+            g._odd = int.from_bytes(np.bitwise_xor.reduce(packed, axis=0).tobytes(), "little")
         return g
 
-    def non_neighbor_matrix(self) -> np.ndarray:
-        """n x n numpy bool matrix whose row v is non_neighbors_mask(v),
-        unpacked with from_bool_adjacency's little-endian layout."""
-        n = self.n
-        width = (n + 7) // 8
-        full = (1 << n) - 1
-        rows = [(full & ~(a | 1 << v)).to_bytes(width, "little") for v, a in enumerate(self._adj)]
-        packed = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(n, width)
-        return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(np.bool_)
+    def non_neighbor_matrix(self, vertices=None) -> np.ndarray:
+        """Numpy bool matrix with n columns whose rows are
+        non_neighbor_masks(vertices), unpacked with from_bool_adjacency's
+        little-endian layout; n x n, one row per vertex, by default."""
+        masks = self.non_neighbor_masks(vertices)
+        width = (self.n + 7) // 8
+        rows = b"".join(mask.to_bytes(width, "little") for mask in masks)
+        packed = np.frombuffer(rows, dtype=np.uint8).reshape(len(masks), width)
+        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(np.bool_)
+
+    def non_neighbor_masks(self, vertices=None) -> list[int]:
+        """non_neighbors_mask(v) for each v of vertices, or of every vertex
+        in order by default. The vertices are range-checked once as a
+        list, not one call at a time."""
+        full = (1 << self.n) - 1
+        adj = self._adj
+        if vertices is None:
+            return [full & ~(a | 1 << v) for v, a in enumerate(adj)]
+        vertices = list(vertices)
+        if vertices and not 0 <= min(vertices) <= max(vertices) < self.n:
+            raise GraphError(f"vertices out of range for n={self.n}")
+        return [full & ~(adj[v] | 1 << v) for v in vertices]
 
     # -- basic queries ---------------------------------------------------
 
@@ -127,10 +152,12 @@ class Graph:
         self._check_vertex(v)
         return (self._adj[u] >> v) & 1 == 1
 
+    def degrees(self) -> list[int]:
+        """Degree of every vertex, in vertex order."""
+        return [a.bit_count() for a in self._adj]
+
     def max_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return max(a.bit_count() for a in self._adj)
+        return max(self.degrees(), default=0)
 
     def non_neighbors_mask(self, v: int) -> int:
         """Bitset of vertices that are neither v nor adjacent to v."""

@@ -325,7 +325,7 @@ def sample_graph(model: EdgeProbabilityModel, rng) -> Graph:
     upper = np.zeros((n, n), dtype=bool)
     # a boolean mask is filled in row-major order, which is the (u, v) order
     upper[~np.tri(n, dtype=bool)] = rng.random(len(pvec)) < pvec
-    return Graph.from_bool_adjacency(upper | upper.T)
+    return Graph._from_upper_triangle(upper)
 
 
 # -- model spec files --------------------------------------------------------

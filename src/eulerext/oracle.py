@@ -48,7 +48,7 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
     if cap is None:
         cap = 3 * t
 
-    non = [g.non_neighbors_mask(u) for u in range(g.n)]
+    non = g.non_neighbor_masks()
     comp = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (non[u] >> v) & 1]
     masks = [(1 << u) | (1 << v) for u, v in comp]
     odd = g.odd_mask

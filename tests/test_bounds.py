@@ -24,6 +24,8 @@ from eulerext import (
     step_success_bound,
 )
 
+import eulerext.bounds as bounds_module
+
 from conftest import common_non_neighbors_ref, min_common_non_neighbors_ref, random_edges
 
 
@@ -244,6 +246,125 @@ def test_e_all_on_sampled_midrange():
     # at p=0.7 the pair mean drops to 298 * 0.09 = 26.8, far below the floor
     dense = HomogeneousModel(300, 0.7)
     assert not e_all_check(sample_graph(dense, rng))
+
+
+def floor_of(n):
+    return math.log(n) ** 3 / 2.0
+
+
+def risky_count(g):
+    # vertices whose degree plus the maximum degree leaves fewer than the
+    # floor of guaranteed common non-neighbours
+    n = g.n
+    degrees = [n - 1 - g.non_neighbors_mask(v).bit_count() for v in range(n)]
+    return sum(n - 2 - d - max(degrees) < floor_of(n) for d in degrees)
+
+
+def check_both_paths(g):
+    # the certified check against the exact minimum, once with every risky
+    # set counted by the pair loop and once by the float32 product, which
+    # must unpack the risky rows only
+    expected = min_common_non_neighbors(g) >= floor_of(g.n)
+    unpack = Graph.non_neighbor_matrix
+    row_counts = []
+
+    def counted(self, vertices=None):
+        rows = unpack(self, vertices)
+        row_counts.append(len(rows))
+        return rows
+
+    for crossover in (2, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds_module, "MATRIX_MIN_RISKY", crossover)
+            patch.setattr(Graph, "non_neighbor_matrix", counted)
+            assert e_all_check(g) == expected
+    assert set(row_counts) <= {risky_count(g)}
+    return expected
+
+
+def hubs(n, leaf_sets):
+    # hub i is vertex i, joined to each vertex of leaf_sets[i]
+    return Graph.from_edge_list(n, [(i, v) for i, leaves in enumerate(leaf_sets) for v in leaves])
+
+
+# n = 40: the floor is 25.09, so a pair needs 26 common non-neighbours, and
+# a vertex certifies when its degree plus the maximum degree is at most 12
+SKEWED_40 = {
+    "empty": (Graph(40), 0, True),
+    "one_hub": (hubs(40, [range(1, 9)]), 1, True),
+    "two_hubs_shared_leaves": (hubs(40, [range(2, 10), range(2, 10)]), 2, True),
+    "two_hubs_own_leaves": (hubs(40, [range(2, 10), range(10, 18)]), 2, False),
+    # every pair of K_{2,12} plus isolated vertices that meets the hubs has
+    # exactly 26 = ceil(floor) common non-neighbours
+    "at_the_floor": (hubs(40, [range(2, 14), range(2, 14)]), 14, True),
+    # the two hubs have 13 neighbours between them, so 25 common non-neighbours
+    "one_below_the_floor": (hubs(40, [range(2, 14), range(3, 15)]), 15, False),
+    "full_star": (hubs(40, [range(1, 40)]), 40, False),
+    "clique_plus_pendants": (
+        Graph.from_edge_list(40, [*combinations(range(10), 2), *((v, v % 10) for v in range(10, 40))]),
+        40,
+        False,
+    ),
+    "complement_of_matching": (
+        Graph.from_edge_list(40, [(u, v) for u, v in combinations(range(40), 2) if v != u + 1 or u % 2]),
+        40,
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SKEWED_40)
+def test_e_all_certified_on_skewed_graphs(name):
+    g, risky, holds = SKEWED_40[name]
+    assert risky_count(g) == risky
+    assert check_both_paths(g) == holds
+
+
+def test_e_all_at_the_floor_is_exact():
+    g = SKEWED_40["at_the_floor"][0]
+    assert min_common_non_neighbors(g) == math.ceil(floor_of(40)) == 26
+
+
+@st.composite
+def skewed_graphs(draw):
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["hubs", "clique_plus_pendants", "complement_of_matching", "random"]))
+    rnd = random.Random(draw(st.integers(0, 10**6)))
+    if kind == "hubs":
+        # few leaves keep most vertices certified and some pairs near the floor
+        leaf_sets = [rnd.sample(range(n), rnd.randint(0, n // 3)) for _ in range(rnd.randint(1, min(n, 4)))]
+        edges = {(min(i, v), max(i, v)) for i, leaves in enumerate(leaf_sets) for v in leaves if v != i}
+    elif kind == "clique_plus_pendants":
+        k = rnd.randint(1, n)
+        edges = set(combinations(range(k), 2))
+        edges.update((rnd.randrange(k), v) for v in range(k, n) if rnd.random() < 0.8)
+    elif kind == "complement_of_matching":
+        order = rnd.sample(range(n), n)
+        matching = {frozenset(order[i : i + 2]) for i in range(0, n - 1, 2) if rnd.random() < 0.9}
+        edges = {e for e in combinations(range(n), 2) if frozenset(e) not in matching}
+    else:
+        edges = random_edges(rnd, n, rnd.choice([0.05, 0.2, 0.5]) * rnd.random())
+    return Graph.from_edge_list(n, edges)
+
+
+@given(skewed_graphs())
+@settings(max_examples=150, deadline=None)
+def test_e_all_certified_matches_exact_minimum(g):
+    check_both_paths(g)
+
+
+def test_e_all_certified_without_any_matrix(monkeypatch):
+    # the degree certificate alone decides these: no risky vertex at all
+    def refuse(self, vertices=None):
+        raise AssertionError("the certificate should have decided")
+
+    monkeypatch.setattr(Graph, "non_neighbor_matrix", refuse)
+    monkeypatch.setattr(Graph, "non_neighbor_masks", refuse)
+    assert e_all_check(Graph(10**4))
+    # homogeneous n=2000, p=0.3: degrees are about 600 +- 20, so each
+    # vertex keeps some 700 guaranteed common non-neighbours, against a
+    # floor of 219
+    assert e_all_check(sample_graph(HomogeneousModel(2000, 0.3), np.random.default_rng(5)))
 
 
 # -- step bounds --

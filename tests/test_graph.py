@@ -17,6 +17,7 @@ from eulerext import (
 )
 
 from conftest import (
+    adj_sets,
     all_graph_edge_sets,
     all_pairs,
     bitset,
@@ -108,6 +109,39 @@ def test_non_neighbor_matrix_rows_are_the_masks(n):
     np.fill_diagonal(adjacency, False)
     back = Graph.from_bool_adjacency(adjacency)
     assert back == g and back.m == g.m and back.odd_mask == g.odd_mask
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65])
+def test_row_readers_at_packing_boundaries(n):
+    edges = random_edges(random.Random(n), n, 0.4)
+    g = Graph.from_edge_list(n, edges)
+    adj = adj_sets(n, edges)
+    assert g.degrees() == [len(adj[v]) for v in range(n)]
+    masks = [g.non_neighbors_mask(v) for v in range(n)]
+    assert g.non_neighbor_masks() == masks
+    # any list of vertices, in its own order, repeats included
+    picked = [n - 1, 0, n // 2, n - 1, 7 % n]
+    assert g.non_neighbor_masks(picked) == [masks[v] for v in picked]
+    assert g.non_neighbor_masks([]) == []
+    rows = g.non_neighbor_matrix(picked)
+    assert rows.shape == (len(picked), n) and rows.dtype == np.bool_
+    assert np.array_equal(rows, g.non_neighbor_matrix()[picked])
+    assert g.non_neighbor_matrix([]).shape == (0, n)
+
+
+def test_row_readers_of_edgeless_and_complete_graphs():
+    assert Graph(0).degrees() == [] and Graph(0).non_neighbor_masks() == []
+    assert Graph(3).degrees() == [0, 0, 0]
+    assert Graph(3).non_neighbor_masks() == [0b110, 0b101, 0b011]
+    assert k4().degrees() == [3, 3, 3, 3] and k4().non_neighbor_masks() == [0] * 4
+
+
+@pytest.mark.parametrize("vertices", [[3], [-1], [0, 1, 3], [-1, 2]])
+def test_row_reader_rejects_out_of_range(vertices):
+    with pytest.raises(GraphError):
+        p3().non_neighbor_masks(vertices)
+    with pytest.raises(GraphError):
+        p3().non_neighbor_matrix(vertices)
 
 
 def one_sided():

@@ -10,6 +10,7 @@ from eulerext import (
     AlphaStats,
     ExampleFamilyModel,
     ExplicitModel,
+    Graph,
     HomogeneousModel,
     ModelError,
     alpha_stats,
@@ -429,6 +430,20 @@ def test_sample_matches_scatter_reference(model):
         g, ref = sample_graph(model, rng), sample_graph_ref(model, rng_ref)
         assert g == ref and g.m == ref.m
         assert rng.random() == rng_ref.random()
+
+
+@given(st.integers(2, 80), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sample_matches_scatter_reference_and_edge_list(n, p, family, seed):
+    # the sampler's unchecked constructor against the checked one, and its
+    # edge count and parity against a graph built one edge at a time
+    model = ExampleFamilyModel(n, 0.25 + p / 2, 0.2) if family and n >= 16 else HomogeneousModel(n, p)
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    g, ref = sample_graph(model, rng), sample_graph_ref(model, rng_ref)
+    built = Graph.from_edge_list(n, ref.edges())
+    assert g == ref == built
+    assert g.m == ref.m == built.m
+    assert g.odd_mask == ref.odd_mask == built.odd_mask
 
 
 # -- model spec files --
