@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _as_int
 from .models import AlphaStats, check_exponents
 
 __all__ = [
@@ -78,8 +78,7 @@ class BoundParams:
 
 def default_params(n: int, beta: float = DEFAULT_BETA, gamma: float = DEFAULT_GAMMA) -> BoundParams:
     """Midpoint zeta for the (beta, gamma) window and epsilon = n^-zeta."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = _as_int(n, ValueError, "need an int n >= 2", 2)
     lo = gamma + beta / 2.0
     hi = (1.0 - beta) / 2.0
     zeta = (lo + hi) / 2.0
@@ -156,7 +155,7 @@ def e_all_check(g: Graph) -> bool:
         return True
     if len(risky) >= MATRIX_MIN_RISKY:
         return _min_common_among(g, risky) >= floor
-    masks = g.non_neighbor_masks(risky)
+    masks = [g.non_neighbors_mask(u) for u in risky]
     for i, a in enumerate(masks):
         for b in masks[i + 1 :]:
             if (a & b).bit_count() < floor:
@@ -190,10 +189,8 @@ def step_success_bound(stats: AlphaStats, n: int, params: BoundParams, t: int) -
     diff <= 0 is reported, not raised: it signals that the density window
     fails or n is too small for these exponents.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if t < 0:
-        raise ValueError(f"step count must be nonnegative, got {t}")
+    n = _as_int(n, ValueError, "need an int n >= 2", 2)
+    t = _as_int(t, ValueError, "step count must be a nonnegative int")
     factor = 1.0 + params.epsilon
     p_lower = 2.0 * (1.0 - stats.alpha_up * factor) ** 2
     q_upper = 9.0 / n + stats.alpha_e * factor

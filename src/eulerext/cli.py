@@ -16,8 +16,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .bounds import DEFAULT_BETA, DEFAULT_GAMMA, default_params, step_success_bound
-from .experiment import ConfigError, ExperimentConfig, run_trials, trial_seed
-from .extension import extend
+from .experiment import ConfigError, ExperimentConfig, run_trials, trial_seed, write_records
+from .extension import PHASE_PAIRING, PHASE_THREE_PATH, PHASE_TWO_PATH, extend
 from .graph import load_edge_list, save_edge_list
 from .models import MODEL_KINDS, alpha_stats, build_model, check_condition, load_model_spec, sample_graph
 from .oracle import min_extension_exact
@@ -109,9 +109,9 @@ def _cmd_extend(args) -> int:
             "success": result.success,
             "t_input": result.t_input,
             "edges_added": len(result.added_edges),
-            "pairing_edges": counts["pairing"],
-            "two_path_edges": counts["two_path"],
-            "three_path_edges": counts["three_path"],
+            "pairing_edges": counts[PHASE_PAIRING],
+            "two_path_edges": counts[PHASE_TWO_PATH],
+            "three_path_edges": counts[PHASE_THREE_PATH],
             "attempts_phase3": result.attempts_phase3,
             "failure_reason": result.failure_reason,
             "failing_pair": list(result.failing_pair) if result.failing_pair else None,
@@ -169,10 +169,9 @@ def _cmd_experiment(args) -> int:
         beta=args.beta,
         gamma=args.gamma,
         max_random_attempts=args.max_attempts,
-        out_path=args.out,
-        out_format=args.format,
     )
-    _, summary = run_trials(config)
+    records, summary = run_trials(config)
+    write_records(records, args.out, args.format)
     _print_json({"out": args.out, "format": args.format, "summary": summary.as_dict()})
     return EXIT_OK
 

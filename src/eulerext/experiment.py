@@ -18,7 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import DEFAULT_BETA, DEFAULT_GAMMA, default_params, e_all_check, e_good_check
-from .extension import FAIL_DISCONNECTED, extend, verify_extension
+from .extension import (
+    FAIL_DISCONNECTED, PHASE_PAIRING, PHASE_THREE_PATH, PHASE_TWO_PATH, extend, verify_extension,
+)
+from .graph import _as_int
 from .models import EdgeProbabilityModel, alpha_stats, sample_graph
 from .oracle import ORACLE_MAX_VERTICES, min_extension_exact
 
@@ -57,8 +60,7 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     with the standard splitmix finalizer as mix64, so trial_seed(0, 0) is
     0xE220A8397B1DCDAF. Documented so runs can be replicated elsewhere.
     """
-    if trial_index < 0:
-        raise ValueError(f"trial index must be nonnegative, got {trial_index}")
+    trial_index = _as_int(trial_index, ValueError, "trial index must be a nonnegative int")
     return _mix64((base_seed + (trial_index + 1) * _GOLDEN) & _MASK64)
 
 
@@ -70,26 +72,19 @@ class ExperimentConfig:
     beta: float = DEFAULT_BETA
     gamma: float = DEFAULT_GAMMA
     max_random_attempts: int | None = None
-    out_path: str | None = None
-    out_format: str = "csv"
 
     def __post_init__(self):
         if not isinstance(self.model, EdgeProbabilityModel):
             raise ConfigError(f"model must be an EdgeProbabilityModel, got {type(self.model).__name__}")
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
-            raise ConfigError(f"trials must be a positive int, got {self.trials!r}")
-        if not isinstance(self.base_seed, int) or isinstance(self.base_seed, bool) or self.base_seed < 0:
-            raise ConfigError(f"base seed must be a nonnegative int, got {self.base_seed!r}")
+        self.trials = _as_int(self.trials, ConfigError, "trials must be a positive int", 1)
+        self.base_seed = _as_int(self.base_seed, ConfigError, "base seed must be a nonnegative int")
         try:
             default_params(self.model.n, self.beta, self.gamma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.max_random_attempts is not None and (
-            type(self.max_random_attempts) is not int or self.max_random_attempts < 0
-        ):
-            raise ConfigError(f"max_random_attempts must be None or >= 0, got {self.max_random_attempts!r}")
-        if self.out_format not in ("csv", "jsonl"):
-            raise ConfigError(f"output format must be 'csv' or 'jsonl', got {self.out_format!r}")
+        if self.max_random_attempts is not None:
+            rule = "max_random_attempts must be None or >= 0"
+            self.max_random_attempts = _as_int(self.max_random_attempts, ConfigError, rule)
 
 
 @dataclass
@@ -173,9 +168,9 @@ def run_single_trial(
         engine_success=result.success,
         failure_reason=result.failure_reason,
         edges_added=len(result.added_edges),
-        pairing_edges=counts["pairing"],
-        two_path_edges=counts["two_path"],
-        three_path_edges=counts["three_path"],
+        pairing_edges=counts[PHASE_PAIRING],
+        two_path_edges=counts[PHASE_TWO_PATH],
+        three_path_edges=counts[PHASE_THREE_PATH],
         within_3t=result.success and len(result.added_edges) <= 3 * result.t_input,
         oracle_min=oracle_min,
         wall_time=wall,
@@ -183,7 +178,7 @@ def run_single_trial(
 
 
 def run_trials(config: ExperimentConfig) -> tuple[list[TrialRecord], "Summary"]:
-    """Run all configured trials; write the record file if a path is set."""
+    """Run all configured trials; returns the records and their summary."""
     records = [
         run_single_trial(
             config.model,
@@ -195,8 +190,6 @@ def run_trials(config: ExperimentConfig) -> tuple[list[TrialRecord], "Summary"]:
         )
         for i in range(config.trials)
     ]
-    if config.out_path is not None:
-        write_records(records, config.out_path, config.out_format)
     return records, summarize(records)
 
 

@@ -11,10 +11,9 @@ per odd vertex pair.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, _bits
+from .graph import Graph, GraphError, _as_int, _bits
 
 __all__ = [
     "PHASE_PAIRING",
@@ -111,7 +110,8 @@ def phase_clique_reduction(g: Graph, residual: list[int]) -> tuple[list[AddedEdg
     edges and the unmatched vertices in residual order. Raises GraphError
     for an invalid or repeated vertex in residual.
     """
-    blocked = _vertex_set(g, residual)
+    residual = g.vertex_list(residual)
+    blocked = sum(1 << x for x in residual)
     masks = [g.non_neighbors_mask(x) & ~blocked for x in residual]
     matched = 0
     added: list[AddedEdge] = []
@@ -140,13 +140,13 @@ def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: i
     edges, then falls back to a full lexicographic scan. Only a pair with
     no detour at all stops the phase. Raises GraphError for an invalid or
     repeated vertex in clique, or for an odd number of them, before any
-    probe or edge.
+    probe or edge, and ValueError for a budget that is not an int >= 0.
     """
     n = g.n
-    _vertex_set(g, clique)
-    if len(clique) % 2:
-        raise GraphError(f"{len(clique)} vertices cannot be paired")
-    pend = sorted(clique)
+    pend = sorted(g.vertex_list(clique))
+    if len(pend) % 2:
+        raise GraphError(f"{len(pend)} vertices cannot be paired")
+    budget = _as_int(max_attempts_per_pair, ValueError, "max_attempts_per_pair must be an int >= 0")
     added: list[AddedEdge] = []
     attempts = 0
     for u, v in zip(pend[::2], pend[1::2]):
@@ -154,7 +154,7 @@ def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: i
         nu, nv = g.non_neighbors_mask(u) & ~ends, g.non_neighbors_mask(v) & ~ends
         triple = None
         if rng is not None:
-            for _ in range(max_attempts_per_pair):
+            for _ in range(budget):
                 attempts += 1
                 y = int(rng.integers(n))
                 z = int(rng.integers(n))
@@ -169,17 +169,6 @@ def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: i
             g.add_edge(lo, hi)
             added.append(AddedEdge(lo, hi, PHASE_THREE_PATH))
     return ThreePathOutcome(tuple(added), attempts, failing_pair=None)
-
-
-def _vertex_set(g: Graph, vertices) -> int:
-    """Bitset of the given vertices, each checked by Graph's vertex rule."""
-    mask = 0
-    for v in vertices:
-        g._check_vertex(v)
-        if (mask >> v) & 1:
-            raise GraphError(f"vertex {v} is listed twice")
-        mask |= 1 << v
-    return mask
 
 
 def _valid_three_path(g: Graph, u: int, v: int, nu: int, nv: int, y: int, z: int):
@@ -225,9 +214,9 @@ def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> Extens
     whole run is reproducible without a seed. The failure reason is
     FAIL_DISCONNECTED exactly when g is not connected.
     """
-    # type() rather than isinstance(), so True is not taken for a budget of 1
-    if max_random_attempts is not None and (type(max_random_attempts) is not int or max_random_attempts < 0):
-        raise ValueError(f"max_random_attempts must be None or >= 0, got {max_random_attempts!r}")
+    if max_random_attempts is not None:
+        rule = "max_random_attempts must be None or >= 0"
+        max_random_attempts = _as_int(max_random_attempts, ValueError, rule)
     if not g.is_connected():
         return ExtensionResult(False, g.t_value(), (), failure_reason=FAIL_DISCONNECTED)
     t = g.t_value()
@@ -280,8 +269,10 @@ def verify_extension(g: Graph, result: ExtensionResult) -> VerificationReport:
     violations: list[str] = []
     seen: set[tuple[int, int]] = set()
     for edge in result.added_edges:
-        u, v = _vertex_index(edge.u), _vertex_index(edge.v)
-        if u is None or v is None:
+        try:
+            u = _as_int(edge.u, ValueError, "not an int", -math.inf)
+            v = _as_int(edge.v, ValueError, "not an int", -math.inf)
+        except ValueError:
             violations.append(f"edge ({edge.u!r}, {edge.v!r}) has a non-integer endpoint")
             continue
         if not (0 <= u < g.n and 0 <= v < g.n):
@@ -315,12 +306,3 @@ def verify_extension(g: Graph, result: ExtensionResult) -> VerificationReport:
         )
     return VerificationReport(not violations, tuple(violations))
 
-
-def _vertex_index(w) -> int | None:
-    """w as a Python int when it is integer-like (numpy ints included), else None."""
-    if isinstance(w, bool):
-        return None
-    try:
-        return operator.index(w)
-    except TypeError:
-        return None

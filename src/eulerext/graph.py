@@ -5,6 +5,7 @@ adjacency, and complement queries are word-parallel and the complement
 graph never has to be materialised.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,24 @@ class NotEulerianError(GraphError):
         self.reason = reason
 
 
+def _as_int(value, error, rule: str, low=0, high=None) -> int:
+    """The package's integer rule, with each caller's own bounds and error.
+
+    Returns value as a Python int when it is a Python or numpy integer
+    (anything operator.index accepts) other than a bool, with low <= value
+    and, unless high is None, value < high. Raises
+    error(f"{rule}, got {value!r}") otherwise.
+    """
+    if type(value) is not int and not isinstance(value, bool):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+    if type(value) is int and value >= low and (high is None or value < high):
+        return value
+    raise error(f"{rule}, got {value!r}")
+
+
 def _bits(mask: int):
     # indices of set bits, ascending
     while mask:
@@ -62,8 +81,7 @@ class Graph:
     __slots__ = ("n", "_adj", "_m", "_odd")
 
     def __init__(self, n: int):
-        if n < 0:
-            raise GraphError("vertex count must be nonnegative")
+        n = _as_int(n, GraphError, "vertex count must be a nonnegative int")
         try:
             self._adj = [0] * n
         except OverflowError:
@@ -77,7 +95,7 @@ class Graph:
         """Build a graph from (u, v) pairs; duplicates are collapsed."""
         g = cls(n)
         for u, v in edges:
-            g._check_pair(u, v)
+            u, v = g._check_pair(u, v)
             if not (g._adj[u] >> v) & 1:
                 g._insert(u, v)
         return g
@@ -114,27 +132,26 @@ class Graph:
         return g
 
     def non_neighbor_matrix(self, vertices=None) -> np.ndarray:
-        """Numpy bool matrix with n columns whose rows are
-        non_neighbor_masks(vertices), unpacked with from_bool_adjacency's
-        little-endian layout; n x n, one row per vertex, by default."""
-        masks = self.non_neighbor_masks(vertices)
-        width = (self.n + 7) // 8
-        rows = b"".join(mask.to_bytes(width, "little") for mask in masks)
-        packed = np.frombuffer(rows, dtype=np.uint8).reshape(len(masks), width)
-        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(np.bool_)
+        """Numpy bool matrix with n columns whose row i is
+        non_neighbors_mask(vertices[i]), unpacked with from_bool_adjacency's
+        little-endian layout; n x n, one row per vertex, by default. Each
+        listed vertex is checked as non_neighbors_mask checks it; repeats
+        are allowed."""
+        n, adj = self.n, self._adj
+        vertices = range(n) if vertices is None else list(map(self._check_vertex, vertices))
+        full = (1 << n) - 1
+        width = (n + 7) // 8
+        rows = b"".join((full & ~(adj[v] | 1 << v)).to_bytes(width, "little") for v in vertices)
+        packed = np.frombuffer(rows, dtype=np.uint8).reshape(len(vertices), width)
+        return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(np.bool_)
 
-    def non_neighbor_masks(self, vertices=None) -> list[int]:
-        """non_neighbors_mask(v) for each v of vertices, or of every vertex
-        in order by default. The vertices are range-checked once as a
-        list, not one call at a time."""
-        full = (1 << self.n) - 1
-        adj = self._adj
-        if vertices is None:
-            return [full & ~(a | 1 << v) for v, a in enumerate(adj)]
-        vertices = list(vertices)
-        if vertices and not 0 <= min(vertices) <= max(vertices) < self.n:
-            raise GraphError(f"vertices out of range for n={self.n}")
-        return [full & ~(adj[v] | 1 << v) for v in vertices]
+    def vertex_list(self, vertices) -> list[int]:
+        """The given vertices as Python ints, in order; GraphError for an
+        invalid or repeated one."""
+        checked = list(map(self._check_vertex, vertices))
+        if len(set(checked)) < len(checked):
+            raise GraphError(f"a vertex is listed twice in {checked}")
+        return checked
 
     # -- basic queries ---------------------------------------------------
 
@@ -148,8 +165,7 @@ class Graph:
         return self._odd
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        u, v = self._check_vertex(u), self._check_vertex(v)
         return (self._adj[u] >> v) & 1 == 1
 
     def degrees(self) -> list[int]:
@@ -161,7 +177,7 @@ class Graph:
 
     def non_neighbors_mask(self, v: int) -> int:
         """Bitset of vertices that are neither v nor adjacent to v."""
-        self._check_vertex(v)
+        v = self._check_vertex(v)
         full = (1 << self.n) - 1
         return ~(self._adj[v] | (1 << v)) & full
 
@@ -189,7 +205,7 @@ class Graph:
     # -- mutation --------------------------------------------------------
 
     def add_edge(self, u: int, v: int) -> "Graph":
-        self._check_pair(u, v)
+        u, v = self._check_pair(u, v)
         if (self._adj[u] >> v) & 1:
             raise GraphError(f"edge ({u}, {v}) already present")
         self._insert(u, v)
@@ -262,17 +278,17 @@ class Graph:
         self._m += 1
         self._odd ^= (1 << u) | (1 << v)
 
-    def _check_vertex(self, v: int):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise GraphError(f"vertex must be an int, got {v!r}")
-        if not 0 <= v < self.n:
-            raise GraphError(f"vertex {v} out of range for n={self.n}")
+    def _check_vertex(self, v) -> int:
+        """v as a Python int; GraphError unless it is a vertex."""
+        if type(v) is int and 0 <= v < self.n:
+            return v
+        return _as_int(v, GraphError, f"vertex must be an int in range({self.n})", high=self.n)
 
-    def _check_pair(self, u: int, v: int):
-        self._check_vertex(u)
-        self._check_vertex(v)
+    def _check_pair(self, u, v) -> tuple[int, int]:
+        u, v = self._check_vertex(u), self._check_vertex(v)
         if u == v:
             raise GraphError(f"self-loop ({u}, {v}) not allowed")
+        return u, v
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

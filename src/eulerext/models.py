@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, _data_lines
+from .graph import Graph, _as_int, _data_lines
 
 __all__ = [
     "ModelError",
@@ -49,17 +49,13 @@ class EdgeProbabilityModel:
     """
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ModelError(f"vertex count must be an int, got {n!r}")
-        if n < 2:
-            raise ModelError("a model needs at least two vertices")
-        self.n = n
+        self.n = _as_int(n, ModelError, "a model needs an int vertex count of at least 2", 2)
         self._pair_probs = None
         self._alpha = None
 
     def probability(self, u: int, v: int) -> float:
         """p(u, v) for two distinct vertices, read off row u."""
-        self._check_vertex(v)
+        v = self._vertex(v)
         if u == v:
             raise ModelError("pair probability is undefined on the diagonal")
         return float(self.probability_row(u)[v])
@@ -108,11 +104,8 @@ class EdgeProbabilityModel:
             self._pair_probs = out
         return self._pair_probs
 
-    def _check_vertex(self, w: int):
-        if not isinstance(w, int) or isinstance(w, bool):
-            raise ModelError(f"vertex must be an int, got {w!r}")
-        if not 0 <= w < self.n:
-            raise ModelError(f"vertex {w} out of range for n={self.n}")
+    def _vertex(self, w) -> int:
+        return _as_int(w, ModelError, f"vertex must be an int in range({self.n})", high=self.n)
 
 
 class HomogeneousModel(EdgeProbabilityModel):
@@ -126,7 +119,7 @@ class HomogeneousModel(EdgeProbabilityModel):
         self.p = p
 
     def probability_row(self, u):
-        self._check_vertex(u)
+        u = self._vertex(u)
         row = np.full(self.n, self.p)
         row[u] = 0.0
         return row
@@ -154,7 +147,7 @@ class ExplicitModel(EdgeProbabilityModel):
         self.matrix = mat
 
     def probability_row(self, u):
-        self._check_vertex(u)
+        u = self._vertex(u)
         return self.matrix[u].copy()
 
     def __repr__(self):
@@ -186,7 +179,7 @@ class ExampleFamilyModel(EdgeProbabilityModel):
         self.second_block_end = int(2 * n / math.log(n))   # exclusive
 
     def probability_row(self, u):
-        self._check_vertex(u)
+        u = self._vertex(u)
         n, k, k2 = self.n, self.first_block_end, self.second_block_end
         row = np.full(n, self.b)
         if u < k:
@@ -289,8 +282,7 @@ def check_condition(stats: AlphaStats, n: int, beta: float, gamma: float) -> Con
     is the smaller slack, negative when violated.
     """
     check_exponents(beta, gamma)
-    if n < 2:
-        raise ValueError("condition check needs n >= 2")
+    n = _as_int(n, ValueError, "condition check needs an int n >= 2", 2)
     lower_slack = stats.alpha_low - n ** (-beta)
     cap = max(0.5, 1.0 - math.sqrt(stats.alpha_e / 2.0)) - n ** (-gamma)
     upper_slack = cap - stats.alpha_up

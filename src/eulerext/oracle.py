@@ -9,7 +9,7 @@ capped at a small vertex count.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _as_int
 
 __all__ = ["ORACLE_MAX_VERTICES", "OracleAnswer", "OracleSizeError", "min_extension_exact"]
 
@@ -37,8 +37,8 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
     Sizes below t cannot work: every odd vertex needs an incident added
     edge and one edge serves at most two of them.
     """
-    if cap is not None and cap < 0:
-        raise ValueError(f"cap must be None or >= 0, got {cap}")
+    if cap is not None:
+        cap = _as_int(cap, ValueError, "cap must be None or an int >= 0")
     if g.n > ORACLE_MAX_VERTICES:
         raise OracleSizeError(
             f"exact search is exponential in the complement size; "
@@ -48,7 +48,7 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
     if cap is None:
         cap = 3 * t
 
-    non = g.non_neighbor_masks()
+    non = [g.non_neighbors_mask(u) for u in range(g.n)]
     comp = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (non[u] >> v) & 1]
     masks = [(1 << u) | (1 << v) for u, v in comp]
     odd = g.odd_mask

@@ -359,7 +359,7 @@ def test_e_all_certified_without_any_matrix(monkeypatch):
         raise AssertionError("the certificate should have decided")
 
     monkeypatch.setattr(Graph, "non_neighbor_matrix", refuse)
-    monkeypatch.setattr(Graph, "non_neighbor_masks", refuse)
+    monkeypatch.setattr(Graph, "non_neighbors_mask", refuse)
     assert e_all_check(Graph(10**4))
     # homogeneous n=2000, p=0.3: degrees are about 600 +- 20, so each
     # vertex keeps some 700 guaranteed common non-neighbours, against a
@@ -402,8 +402,9 @@ def test_step_bound_validation():
     stats = alpha_stats(HomogeneousModel(50, 0.3))
     with pytest.raises(ValueError):
         step_success_bound(stats, 1, default_params(50), 1)
-    with pytest.raises(ValueError):
-        step_success_bound(stats, 50, default_params(50), -1)
+    for t in (-1, 2.5):
+        with pytest.raises(ValueError):
+            step_success_bound(stats, 50, default_params(50), t)
 
 
 def test_step_bound_floor_cleared_in_window():

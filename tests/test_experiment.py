@@ -48,6 +48,10 @@ def test_trial_seed_rejects_negative_index():
         trial_seed(0, -1)
 
 
+def test_trial_seed_takes_a_numpy_index_as_its_value():
+    assert trial_seed(0, np.int64(1)) == trial_seed(0, 1)
+
+
 def test_trial_seed_spread():
     seeds = {trial_seed(0, i) for i in range(1000)}
     assert len(seeds) == 1000
@@ -63,7 +67,7 @@ def model10():
 def test_config_defaults():
     c = ExperimentConfig(model10(), trials=3)
     assert c.base_seed == 0 and c.beta == 0.2 and c.gamma == 0.1
-    assert c.out_path is None and c.out_format == "csv"
+    assert c.max_random_attempts is None
 
 
 @pytest.mark.parametrize(
@@ -76,7 +80,7 @@ def test_config_defaults():
         dict(trials=2, beta=0.6),
         dict(trials=2, gamma=0.5),
         dict(trials=2, max_random_attempts=-3),
-        dict(trials=2, out_format="xml"),
+        dict(trials=2.0),
         dict(trials=2, max_random_attempts=True),
         dict(trials=2, max_random_attempts=2.5),
     ],
@@ -202,14 +206,9 @@ def test_emitted_fields_exclude_wall_time():
 
 
 def test_csv_format_and_determinism(tmp_path):
-    cfg1 = ExperimentConfig(
-        model10(), trials=6, base_seed=3, out_path=str(tmp_path / "a.csv")
-    )
-    run_trials(cfg1)
-    cfg2 = ExperimentConfig(
-        model10(), trials=6, base_seed=3, out_path=str(tmp_path / "b.csv")
-    )
-    run_trials(cfg2)
+    for name in ("a.csv", "b.csv"):
+        records, _ = run_trials(ExperimentConfig(model10(), trials=6, base_seed=3))
+        write_records(records, tmp_path / name, "csv")
     a = (tmp_path / "a.csv").read_bytes()
     assert a == (tmp_path / "b.csv").read_bytes()
     assert b"\r" not in a  # unix newlines regardless of platform
@@ -229,10 +228,8 @@ def test_csv_format_and_determinism(tmp_path):
 
 def test_jsonl_format(tmp_path):
     path = tmp_path / "r.jsonl"
-    cfg = ExperimentConfig(
-        model10(), trials=4, base_seed=8, out_path=str(path), out_format="jsonl"
-    )
-    records, _ = run_trials(cfg)
+    records, _ = run_trials(ExperimentConfig(model10(), trials=4, base_seed=8))
+    write_records(records, path, "jsonl")
     lines = path.read_text().splitlines()
     assert len(lines) == 4
     for line, rec in zip(lines, records):

@@ -77,9 +77,12 @@ def test_duplicates_collapse():
 
 
 def test_vertex_count_validation():
-    with pytest.raises(GraphError):
-        Graph(-1)
+    for bad in (-1, 2.5):
+        with pytest.raises(GraphError):
+            Graph(bad)
     assert Graph(0).n == 0
+    # a numpy count is its value: the full-width mask needs a Python int
+    assert Graph(np.int64(70)).non_neighbors_mask(0).bit_count() == 69
 
 
 def test_from_bool_adjacency_matches_edge_list():
@@ -118,30 +121,38 @@ def test_row_readers_at_packing_boundaries(n):
     adj = adj_sets(n, edges)
     assert g.degrees() == [len(adj[v]) for v in range(n)]
     masks = [g.non_neighbors_mask(v) for v in range(n)]
-    assert g.non_neighbor_masks() == masks
+    assert [bitset(np.flatnonzero(row).tolist()) for row in g.non_neighbor_matrix()] == masks
     # any list of vertices, in its own order, repeats included
     picked = [n - 1, 0, n // 2, n - 1, 7 % n]
-    assert g.non_neighbor_masks(picked) == [masks[v] for v in picked]
-    assert g.non_neighbor_masks([]) == []
     rows = g.non_neighbor_matrix(picked)
     assert rows.shape == (len(picked), n) and rows.dtype == np.bool_
+    assert [bitset(np.flatnonzero(row).tolist()) for row in rows] == [masks[v] for v in picked]
     assert np.array_equal(rows, g.non_neighbor_matrix()[picked])
     assert g.non_neighbor_matrix([]).shape == (0, n)
 
 
 def test_row_readers_of_edgeless_and_complete_graphs():
-    assert Graph(0).degrees() == [] and Graph(0).non_neighbor_masks() == []
+    assert Graph(0).degrees() == [] and Graph(0).non_neighbor_matrix().shape == (0, 0)
     assert Graph(3).degrees() == [0, 0, 0]
-    assert Graph(3).non_neighbor_masks() == [0b110, 0b101, 0b011]
-    assert k4().degrees() == [3, 3, 3, 3] and k4().non_neighbor_masks() == [0] * 4
+    assert [Graph(3).non_neighbors_mask(v) for v in range(3)] == [0b110, 0b101, 0b011]
+    assert np.array_equal(Graph(3).non_neighbor_matrix(), ~np.eye(3, dtype=bool))
+    assert k4().degrees() == [3, 3, 3, 3] and [k4().non_neighbors_mask(v) for v in range(4)] == [0] * 4
+    assert not k4().non_neighbor_matrix().any()
 
 
 @pytest.mark.parametrize("vertices", [[3], [-1], [0, 1, 3], [-1, 2]])
 def test_row_reader_rejects_out_of_range(vertices):
+    (bad,) = [v for v in vertices if v not in range(3)]
     with pytest.raises(GraphError):
-        p3().non_neighbor_masks(vertices)
+        p3().non_neighbors_mask(bad)
     with pytest.raises(GraphError):
         p3().non_neighbor_matrix(vertices)
+
+
+def test_row_reader_rejects_a_bool_vertex():
+    # True would otherwise index row 1
+    with pytest.raises(GraphError):
+        p3().non_neighbor_matrix([True])
 
 
 def one_sided():

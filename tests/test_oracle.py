@@ -27,6 +27,12 @@ def test_size_guard():
     min_extension_exact(graph(12, [(i, (i + 1) % 12) for i in range(12)]))
 
 
+def test_cap_validation():
+    for cap in (-1, 2.5):
+        with pytest.raises(ValueError):
+            min_extension_exact(graph(3, [(0, 1), (1, 2)]), cap=cap)
+
+
 def test_eulerian_input_needs_nothing():
     ans = min_extension_exact(graph(3, [(0, 1), (1, 2), (0, 2)]))
     assert ans == OracleAnswer(True, 0, ())

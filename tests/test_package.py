@@ -3,7 +3,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import eulerext
+from eulerext import (
+    ConfigError,
+    ExampleFamilyModel,
+    ExperimentConfig,
+    Graph,
+    GraphError,
+    HomogeneousModel,
+    ModelError,
+    alpha_stats,
+    check_condition,
+    default_params,
+    extend,
+    min_extension_exact,
+    phase_clique_reduction,
+    phase_three_paths,
+    step_success_bound,
+    trial_seed,
+)
 
 
 def test_every_exported_name_resolves_once():
@@ -23,6 +44,76 @@ def test_only_graph_reads_its_layout():
         if re.search(r"\._adj\b|packbits|unpackbits", path.read_text(encoding="utf-8"))
     )
     assert readers == ["graph.py"]
+
+
+def test_only_graph_states_the_integer_and_vertex_rules():
+    # every other module calls the rule through _as_int or Graph's methods
+    package = Path(eulerext.__file__).parent
+    rule = r"operator\.index|\._check_vertex\b|\._check_pair\b|\._insert\b"
+    owners = sorted(
+        path.name for path in package.glob("*.py") if re.search(rule, path.read_text(encoding="utf-8"))
+    )
+    assert owners == ["graph.py"]
+
+
+def path5():
+    return Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+
+
+MODEL = HomogeneousModel(5, 0.3)
+STATS = alpha_stats(MODEL)
+
+# every entry point that takes an integer, called with x = 2 in one place,
+# and the error class it raises for a value that is not one
+INTEGER_SITES = {
+    "Graph": (GraphError, lambda x: (Graph(x).n, Graph(x).non_neighbors_mask(0))),
+    "from_edge_list.n": (GraphError, lambda x: Graph.from_edge_list(x, [(0, 1)]).non_neighbors_mask(0)),
+    "from_edge_list.edge": (GraphError, lambda x: Graph.from_edge_list(5, [(x, 4)])),
+    "add_edge": (GraphError, lambda x: path5().add_edge(x, 4)),
+    "has_edge": (GraphError, lambda x: path5().has_edge(x, 1)),
+    "non_neighbors_mask": (GraphError, lambda x: path5().non_neighbors_mask(x)),
+    "non_neighbor_matrix": (GraphError, lambda x: path5().non_neighbor_matrix([x, 0, x]).tolist()),
+    "vertex_list": (GraphError, lambda x: path5().vertex_list([4, x])),
+    "phase_clique_reduction": (GraphError, lambda x: phase_clique_reduction(Graph(5), [x, 0])),
+    "phase_three_paths.clique": (GraphError, lambda x: phase_three_paths(Graph(5), [x, 0], None, 0)),
+    "phase_three_paths.budget": (
+        ValueError,
+        lambda x: phase_three_paths(Graph(5), [0, 1], np.random.default_rng(0), x),
+    ),
+    "extend.budget": (ValueError, lambda x: extend(path5(), np.random.default_rng(0), x)),
+    "min_extension_exact.cap": (ValueError, lambda x: min_extension_exact(path5(), cap=x)),
+    "model.n": (ModelError, lambda x: vars(HomogeneousModel(x, 0.3))),
+    "model.probability": (ModelError, lambda x: (MODEL.probability(x, 0), MODEL.probability(0, x))),
+    "model.probability_row": (
+        ModelError,
+        lambda x: ExampleFamilyModel(20, 0.4, 0.2).probability_row(x).tolist(),
+    ),
+    "check_condition.n": (ValueError, lambda x: check_condition(STATS, x, 0.2, 0.1)),
+    "default_params.n": (ValueError, lambda x: default_params(x)),
+    "step_success_bound.n": (ValueError, lambda x: step_success_bound(STATS, x, default_params(5), 1)),
+    "step_success_bound.t": (ValueError, lambda x: step_success_bound(STATS, 5, default_params(5), x)),
+    "trial_seed.index": (ValueError, lambda x: trial_seed(0, x)),
+    "config.trials": (ConfigError, lambda x: ExperimentConfig(MODEL, trials=x)),
+    "config.base_seed": (ConfigError, lambda x: ExperimentConfig(MODEL, trials=1, base_seed=x)),
+    "config.max_random_attempts": (
+        ConfigError,
+        lambda x: ExperimentConfig(MODEL, trials=1, max_random_attempts=x),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_one_integer_rule_at_every_entry_point(site):
+    error, call = INTEGER_SITES[site]
+    want = call(2)
+    for x in (np.int64(2), np.uint8(2)):
+        got = call(x)
+        # repr tells a numpy integer left in the result from a Python int
+        assert got == want and repr(got) == repr(want)
+    for bad in (True, np.True_, 2.0, np.float64(2), "2"):
+        with pytest.raises(error) as excinfo:
+            call(bad)
+        assert excinfo.type is error
 
 
 CHILD_TESTS = '''
