@@ -24,7 +24,6 @@ __all__ = [
     "default_params",
     "GoodEventCheck",
     "e_good_check",
-    "min_common_non_neighbors",
     "e_all_check",
     "StepBound",
     "step_success_bound",
@@ -110,26 +109,6 @@ def e_good_check(g: Graph, stats: AlphaStats, params: BoundParams) -> GoodEventC
     return GoodEventCheck(deg_ok=deg_ok, edge_ok=edge_ok)
 
 
-def min_common_non_neighbors(g: Graph) -> int:
-    """Minimum over all vertex pairs of the common non-neighbor count.
-
-    One float32 product of the 0/1 non-neighbour matrix with its
-    transpose counts every pair at once. The counts are integers no
-    larger than n, and float32 holds every integer up to 2^24 exactly.
-    """
-    if g.n < 2:
-        raise ValueError("need at least two vertices")
-    return _min_common_among(g)
-
-
-def _min_common_among(g: Graph, vertices=None) -> int:
-    # the minimum over pairs of distinct vertices of the list (all by default)
-    non = g.non_neighbor_matrix(vertices).astype(np.float32)
-    common = non @ non.T
-    np.fill_diagonal(common, g.n)  # above every pair's count, so u = v never wins
-    return int(common.min())
-
-
 # From this many risky vertices on, e_all_check counts their pairs with one
 # float32 product; below it, with one bit_count per pair. Timed on random
 # graphs with n from 40 to 3000, the crossover lies between 16 and 32.
@@ -142,7 +121,10 @@ def e_all_check(g: Graph) -> bool:
     A pair u, v has at least n - 2 - deg u - deg v common non-neighbours,
     so a vertex u with n - 2 - deg u - (max degree) >= floor certifies
     every pair it lies in. Only pairs of the remaining, risky vertices
-    are counted exactly, and none when fewer than two are risky.
+    are counted exactly, and none when fewer than two are risky. Many
+    risky rows are counted by one float32 product of their 0/1
+    non-neighbour matrix with its transpose: the counts are integers no
+    larger than n, and float32 holds every integer up to 2^24 exactly.
     """
     n = g.n
     if n < 2:
@@ -154,7 +136,9 @@ def e_all_check(g: Graph) -> bool:
     if len(risky) < 2:
         return True
     if len(risky) >= MATRIX_MIN_RISKY:
-        return _min_common_among(g, risky) >= floor
+        non = g.non_neighbor_matrix(risky).astype(np.float32)
+        # the diagonal entry |non u| is no smaller than any pair count of u
+        return int((non @ non.T).min()) >= floor
     masks = [g.non_neighbors_mask(u) for u in risky]
     for i, a in enumerate(masks):
         for b in masks[i + 1 :]:

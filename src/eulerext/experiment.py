@@ -10,6 +10,7 @@ graphs) cross-checks against the exact oracle.
 
 import csv
 import json
+import math
 import statistics
 import time
 from dataclasses import asdict, dataclass, fields
@@ -60,6 +61,7 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     with the standard splitmix finalizer as mix64, so trial_seed(0, 0) is
     0xE220A8397B1DCDAF. Documented so runs can be replicated elsewhere.
     """
+    base_seed = _as_int(base_seed, ValueError, "base seed must be an int", -math.inf)
     trial_index = _as_int(trial_index, ValueError, "trial index must be a nonnegative int")
     return _mix64((base_seed + (trial_index + 1) * _GOLDEN) & _MASK64)
 

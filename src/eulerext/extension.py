@@ -229,21 +229,13 @@ def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> Extens
     added, residual = phase_pairing(work)
     two_path, pending = phase_clique_reduction(work, residual)
     added.extend(two_path)
-    attempts = 0
+    attempts, failing = 0, None
     if pending:
         outcome = phase_three_paths(work, pending, rng, max_random_attempts)
         added.extend(outcome.edges)
-        attempts = outcome.attempts
-        if outcome.failing_pair is not None:
-            return ExtensionResult(
-                False,
-                t,
-                tuple(added),
-                failure_reason=FAIL_NO_THREE_PATH,
-                failing_pair=outcome.failing_pair,
-                attempts_phase3=attempts,
-            )
-    return ExtensionResult(True, t, tuple(added), attempts_phase3=attempts)
+        attempts, failing = outcome.attempts, outcome.failing_pair
+    reason = None if failing is None else FAIL_NO_THREE_PATH
+    return ExtensionResult(failing is None, t, tuple(added), reason, failing, attempts)
 
 
 @dataclass(frozen=True)

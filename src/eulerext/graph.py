@@ -75,10 +75,10 @@ class EulerCircuit:
 
 
 class Graph:
-    """Mutable simple undirected graph; its edge count and odd-vertex
+    """Mutable simple undirected graph; its degree list and odd-vertex
     bitset are kept current as edges are added."""
 
-    __slots__ = ("n", "_adj", "_m", "_odd")
+    __slots__ = ("n", "_adj", "_deg", "_odd")
 
     def __init__(self, n: int):
         n = _as_int(n, GraphError, "vertex count must be a nonnegative int")
@@ -87,7 +87,7 @@ class Graph:
         except OverflowError:
             raise GraphError(f"vertex count {n} is too large") from None
         self.n = n
-        self._m = 0
+        self._deg = [0] * n
         self._odd = 0  # bitset of odd-degree vertices
 
     @classmethod
@@ -126,19 +126,18 @@ class Graph:
             width = packed.shape[1]
             rows = packed.tobytes()
             g._adj = [int.from_bytes(rows[i : i + width], "little") for i in range(0, n * width, width)]
-            g._m = sum(a.bit_count() for a in g._adj) // 2
+            g._deg = [a.bit_count() for a in g._adj]
             # by symmetry, bit v of the XOR of all rows is the parity of deg v
             g._odd = int.from_bytes(np.bitwise_xor.reduce(packed, axis=0).tobytes(), "little")
         return g
 
-    def non_neighbor_matrix(self, vertices=None) -> np.ndarray:
+    def non_neighbor_matrix(self, vertices) -> np.ndarray:
         """Numpy bool matrix with n columns whose row i is
         non_neighbors_mask(vertices[i]), unpacked with from_bool_adjacency's
-        little-endian layout; n x n, one row per vertex, by default. Each
-        listed vertex is checked as non_neighbors_mask checks it; repeats
-        are allowed."""
+        little-endian layout. Each listed vertex is checked as
+        non_neighbors_mask checks it; repeats are allowed."""
         n, adj = self.n, self._adj
-        vertices = range(n) if vertices is None else list(map(self._check_vertex, vertices))
+        vertices = list(map(self._check_vertex, vertices))
         full = (1 << n) - 1
         width = (n + 7) // 8
         rows = b"".join((full & ~(adj[v] | 1 << v)).to_bytes(width, "little") for v in vertices)
@@ -157,7 +156,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return self._m
+        return sum(self._deg) // 2
 
     @property
     def odd_mask(self) -> int:
@@ -169,11 +168,11 @@ class Graph:
         return (self._adj[u] >> v) & 1 == 1
 
     def degrees(self) -> list[int]:
-        """Degree of every vertex, in vertex order."""
-        return [a.bit_count() for a in self._adj]
+        """Degree of every vertex, in vertex order, as a new list."""
+        return self._deg.copy()
 
     def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
+        return max(self._deg, default=0)
 
     def non_neighbors_mask(self, v: int) -> int:
         """Bitset of vertices that are neither v nor adjacent to v."""
@@ -198,7 +197,7 @@ class Graph:
         g = Graph.__new__(Graph)
         g.n = self.n
         g._adj = self._adj.copy()
-        g._m = self._m
+        g._deg = self._deg.copy()
         g._odd = self._odd
         return g
 
@@ -275,7 +274,8 @@ class Graph:
     def _insert(self, u: int, v: int):
         self._adj[u] |= 1 << v
         self._adj[v] |= 1 << u
-        self._m += 1
+        self._deg[u] += 1
+        self._deg[v] += 1
         self._odd ^= (1 << u) | (1 << v)
 
     def _check_vertex(self, v) -> int:
@@ -298,7 +298,7 @@ class Graph:
     __hash__ = None
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={self._m})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
 # -- edge-list text format -------------------------------------------------

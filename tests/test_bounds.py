@@ -19,7 +19,6 @@ from eulerext import (
     default_params,
     e_all_check,
     e_good_check,
-    min_common_non_neighbors,
     sample_graph,
     step_success_bound,
 )
@@ -173,11 +172,11 @@ def test_e_good_boundary_is_inclusive():
 def test_min_common_non_neighbors_small():
     g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     # pair (1,2): non-neighbors of 1 = {3}, of 2 = {0}; intersection empty
-    assert min_common_non_neighbors(g) == 0
-    assert min_common_non_neighbors(Graph(4)) == 2
-    assert min_common_non_neighbors(Graph(2)) == 0
+    assert min_common_non_neighbors_ref(g) == 0 and not check_both_paths(g)
+    assert min_common_non_neighbors_ref(Graph(4)) == 2 and check_both_paths(Graph(4))
+    assert min_common_non_neighbors_ref(Graph(2)) == 0 and not check_both_paths(Graph(2))
     with pytest.raises(ValueError):
-        min_common_non_neighbors(Graph(1))
+        min_common_non_neighbors_ref(Graph(1))
 
 
 @given(st.integers(2, 9), st.integers(0, 10**6))
@@ -191,38 +190,65 @@ def test_min_common_non_neighbors_matches_reference(n, seed):
         for u in range(n)
         for v in range(u + 1, n)
     )
-    assert min_common_non_neighbors(g) == ref
-    assert e_all_check(g) == (ref >= math.log(n) ** 3 / 2.0)
-
+    assert min_common_non_neighbors_ref(g) == ref
+    assert check_both_paths(g) == (ref >= math.log(n) ** 3 / 2.0)
 
 
 @given(st.integers(2, 12), st.floats(0.0, 0.95), st.integers(0, 10**6))
 @settings(max_examples=150, deadline=None)
 def test_min_common_non_neighbors_matches_pair_loop(n, p, seed):
     g = Graph.from_edge_list(n, random_edges(random.Random(seed), n, p))
-    assert min_common_non_neighbors(g) == min_common_non_neighbors_ref(g)
+    check_both_paths(g)
 
 
 @pytest.mark.parametrize("n", [2, 7, 8, 9, 63, 64, 65, 257])
-def test_min_common_non_neighbors_packing_boundaries(n):
+def test_min_common_non_neighbors_packing_boundaries(n, monkeypatch):
     # sizes on either side of a byte and a 64-bit word, so the last,
-    # partly filled byte of each packed row is exercised
-    assert min_common_non_neighbors(Graph(n)) == n - 2
-    assert min_common_non_neighbors(Graph.from_edge_list(n, combinations(range(n), 2))) == 0
-    star = Graph.from_edge_list(n, [(u, n - 1) for u in range(n - 1)])
-    assert min_common_non_neighbors(star) == 0
+    # partly filled byte of each packed row reaches the float32 product
+    monkeypatch.setattr(bounds_module, "MATRIX_MIN_RISKY", 2)
+    unpack = Graph.non_neighbor_matrix
+    row_counts = []
+
+    def counted(self, vertices):
+        rows = unpack(self, vertices)
+        row_counts.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(Graph, "non_neighbor_matrix", counted)
+
+    def star(leaves):
+        return Graph.from_edge_list(n, [(u, n - 1) for u in range(leaves)])
+
+    complete = Graph.from_edge_list(n, combinations(range(n), 2))
+    full = star(n - 1)
+    assert not e_all_check(complete) and not e_all_check(full)
+    assert row_counts == [n, n]
+    assert min_common_non_neighbors_ref(complete) == min_common_non_neighbors_ref(full) == 0
     # the zero comes only from pairs holding the last vertex: any other
     # pair shares the remaining n - 3 vertices
     others = [
-        (star.non_neighbors_mask(u) & star.non_neighbors_mask(w)).bit_count()
+        (full.non_neighbors_mask(u) & full.non_neighbors_mask(w)).bit_count()
         for u, w in combinations(range(n - 1), 2)
     ]
     assert all(c == n - 3 for c in others)
+    if n > 2:
+        # a star on s leaves round the last vertex has min(n - 2 - s, n - 3)
+        # as its minimum, so s = n - 2 - k leaves exactly k = ceil(floor)
+        # and one more leaf k - 1; the risky rows are the star's s + 1
+        # vertices, and all n once one more leaf lowers the slack to k - 1
+        k = math.ceil(floor_of(n))
+        at_floor, below = star(n - 2 - k), star(n - 1 - k)
+        row_counts.clear()
+        assert e_all_check(at_floor) and not e_all_check(below)
+        assert row_counts == [n - 1 - k, n]
+        assert min_common_non_neighbors_ref(at_floor) == k
+        assert min_common_non_neighbors_ref(below) == k - 1
 
 
 def test_min_common_non_neighbors_family_300():
     g = sample_graph(ExampleFamilyModel(300, 0.4, 0.2), np.random.default_rng(7))
-    assert min_common_non_neighbors(g) == min_common_non_neighbors_ref(g)
+    assert check_both_paths(g) == (min_common_non_neighbors_ref(g) >= floor_of(300))
+    assert risky_count(g) >= bounds_module.MATRIX_MIN_RISKY
 
 
 def test_e_all_threshold_arithmetic():
@@ -264,11 +290,11 @@ def check_both_paths(g):
     # the certified check against the exact minimum, once with every risky
     # set counted by the pair loop and once by the float32 product, which
     # must unpack the risky rows only
-    expected = min_common_non_neighbors(g) >= floor_of(g.n)
+    expected = min_common_non_neighbors_ref(g) >= floor_of(g.n)
     unpack = Graph.non_neighbor_matrix
     row_counts = []
 
-    def counted(self, vertices=None):
+    def counted(self, vertices):
         rows = unpack(self, vertices)
         row_counts.append(len(rows))
         return rows
@@ -322,7 +348,8 @@ def test_e_all_certified_on_skewed_graphs(name):
 
 def test_e_all_at_the_floor_is_exact():
     g = SKEWED_40["at_the_floor"][0]
-    assert min_common_non_neighbors(g) == math.ceil(floor_of(40)) == 26
+    assert min_common_non_neighbors_ref(g) == math.ceil(floor_of(40)) == 26
+    assert check_both_paths(g)
 
 
 @st.composite
@@ -355,7 +382,7 @@ def test_e_all_certified_matches_exact_minimum(g):
 
 def test_e_all_certified_without_any_matrix(monkeypatch):
     # the degree certificate alone decides these: no risky vertex at all
-    def refuse(self, vertices=None):
+    def refuse(self, vertices):
         raise AssertionError("the certificate should have decided")
 
     monkeypatch.setattr(Graph, "non_neighbor_matrix", refuse)

@@ -52,6 +52,16 @@ def test_trial_seed_takes_a_numpy_index_as_its_value():
     assert trial_seed(0, np.int64(1)) == trial_seed(0, 1)
 
 
+def test_trial_seed_base_is_any_int():
+    # a negative base stays valid, so `sample --seed -1` keeps its stream
+    assert trial_seed(-1, 0) == 16490336266968443936
+    assert trial_seed(np.int64(5), 0) == trial_seed(5, 0)
+    assert trial_seed(np.int64(-1), 0) == trial_seed(-1, 0)
+    for bad in (2.5, True, "5"):
+        with pytest.raises(ValueError):
+            trial_seed(bad, 0)
+
+
 def test_trial_seed_spread():
     seeds = {trial_seed(0, i) for i in range(1000)}
     assert len(seeds) == 1000

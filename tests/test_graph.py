@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from eulerext import (
     EulerCircuit,
     Graph,
     GraphError,
+    HomogeneousModel,
     NotEulerianError,
     format_edge_list,
     load_edge_list,
     parse_edge_list,
+    sample_graph,
     save_edge_list,
 )
 
@@ -103,7 +106,7 @@ def test_non_neighbor_matrix_rows_are_the_masks(n):
     # byte and word boundaries on either side of each width
     edges = random_edges(random.Random(n), n, 0.4)
     g = Graph.from_edge_list(n, edges)
-    non = g.non_neighbor_matrix()
+    non = g.non_neighbor_matrix(range(n))
     assert non.shape == (n, n) and non.dtype == np.bool_
     for v in range(n):
         assert bitset(np.flatnonzero(non[v]).tolist()) == g.non_neighbors_mask(v)
@@ -121,23 +124,23 @@ def test_row_readers_at_packing_boundaries(n):
     adj = adj_sets(n, edges)
     assert g.degrees() == [len(adj[v]) for v in range(n)]
     masks = [g.non_neighbors_mask(v) for v in range(n)]
-    assert [bitset(np.flatnonzero(row).tolist()) for row in g.non_neighbor_matrix()] == masks
+    assert [bitset(np.flatnonzero(row).tolist()) for row in g.non_neighbor_matrix(range(n))] == masks
     # any list of vertices, in its own order, repeats included
     picked = [n - 1, 0, n // 2, n - 1, 7 % n]
     rows = g.non_neighbor_matrix(picked)
     assert rows.shape == (len(picked), n) and rows.dtype == np.bool_
     assert [bitset(np.flatnonzero(row).tolist()) for row in rows] == [masks[v] for v in picked]
-    assert np.array_equal(rows, g.non_neighbor_matrix()[picked])
+    assert np.array_equal(rows, g.non_neighbor_matrix(range(n))[picked])
     assert g.non_neighbor_matrix([]).shape == (0, n)
 
 
 def test_row_readers_of_edgeless_and_complete_graphs():
-    assert Graph(0).degrees() == [] and Graph(0).non_neighbor_matrix().shape == (0, 0)
+    assert Graph(0).degrees() == [] and Graph(0).non_neighbor_matrix(range(0)).shape == (0, 0)
     assert Graph(3).degrees() == [0, 0, 0]
     assert [Graph(3).non_neighbors_mask(v) for v in range(3)] == [0b110, 0b101, 0b011]
-    assert np.array_equal(Graph(3).non_neighbor_matrix(), ~np.eye(3, dtype=bool))
+    assert np.array_equal(Graph(3).non_neighbor_matrix(range(3)), ~np.eye(3, dtype=bool))
     assert k4().degrees() == [3, 3, 3, 3] and [k4().non_neighbors_mask(v) for v in range(4)] == [0] * 4
-    assert not k4().non_neighbor_matrix().any()
+    assert not k4().non_neighbor_matrix(range(4)).any()
 
 
 @pytest.mark.parametrize("vertices", [[3], [-1], [0, 1, 3], [-1, 2]])
@@ -266,6 +269,50 @@ def test_degree_stats():
 def test_degree_out_of_range():
     with pytest.raises(GraphError):
         p3().non_neighbors_mask(3)
+
+
+def check_degrees(g, edges):
+    # the stored degree facts against a count over the edge list
+    deg = [0] * g.n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    assert g.degrees() == deg
+    assert g.max_degree() == max(deg, default=0)
+    assert g.m == len(edges)
+
+
+@given(st.integers(2, 70), st.floats(0.0, 1.0), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_degrees_match_the_edge_list(n, p, seed):
+    rnd = random.Random(seed)
+    edges = random_edges(rnd, n, p)
+    g = Graph.from_edge_list(n, edges)
+    check_degrees(g, edges)
+    matrix = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        matrix[u, v] = matrix[v, u] = True
+    check_degrees(Graph.from_bool_adjacency(matrix), edges)
+    sampled = sample_graph(HomogeneousModel(n, p), np.random.default_rng(seed))
+    check_degrees(sampled, list(sampled.edges()))
+    # listed high end first, so add_edge also takes u > v
+    missing = [(v, u) for u, v in combinations(range(n), 2) if not g.has_edge(u, v)]
+    added = rnd.sample(missing, min(len(missing), 5))
+    h = g.copy()
+    for u, v in added:
+        h.add_edge(u, v)
+    check_degrees(h, edges + added)
+    check_degrees(g, edges)
+
+
+def test_degree_list_is_not_shared():
+    g = p3()
+    g.degrees()[1] = 99
+    h = g.copy()
+    h.add_edge(0, 2)
+    h.degrees().clear()
+    assert g.degrees() == [1, 2, 1] and g.max_degree() == 2 and g.m == 2
+    assert h.degrees() == [2, 2, 2] and h.max_degree() == 2 and h.m == 3
 
 
 @given(st.integers(1, 9), st.integers(0, 10**6))

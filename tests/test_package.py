@@ -35,13 +35,13 @@ def test_every_exported_name_resolves_once():
 
 
 def test_only_graph_reads_its_layout():
-    # the bitset list and its numpy packing are graph.py's business; every
-    # other module goes through Graph's methods
+    # the bitset and degree lists and the numpy packing are graph.py's
+    # business; every other module goes through Graph's methods
     package = Path(eulerext.__file__).parent
     readers = sorted(
         path.name
         for path in package.glob("*.py")
-        if re.search(r"\._adj\b|packbits|unpackbits", path.read_text(encoding="utf-8"))
+        if re.search(r"\._(adj|deg)\b|packbits|unpackbits", path.read_text(encoding="utf-8"))
     )
     assert readers == ["graph.py"]
 
@@ -92,6 +92,7 @@ INTEGER_SITES = {
     "default_params.n": (ValueError, lambda x: default_params(x)),
     "step_success_bound.n": (ValueError, lambda x: step_success_bound(STATS, x, default_params(5), 1)),
     "step_success_bound.t": (ValueError, lambda x: step_success_bound(STATS, 5, default_params(5), x)),
+    "trial_seed.base": (ValueError, lambda x: trial_seed(x, 0)),
     "trial_seed.index": (ValueError, lambda x: trial_seed(0, x)),
     "config.trials": (ConfigError, lambda x: ExperimentConfig(MODEL, trials=x)),
     "config.base_seed": (ConfigError, lambda x: ExperimentConfig(MODEL, trials=1, base_seed=x)),
