@@ -16,10 +16,12 @@ from dataclasses import asdict
 import numpy as np
 
 from .bounds import DEFAULT_BETA, DEFAULT_GAMMA, default_params, step_success_bound
-from .experiment import ConfigError, ExperimentConfig, run_trials, trial_seed, write_records
+from .experiment import run_trials, trial_seed, write_records
 from .extension import PHASE_PAIRING, PHASE_THREE_PATH, PHASE_TWO_PATH, extend
 from .graph import load_edge_list, save_edge_list
-from .models import MODEL_KINDS, alpha_stats, build_model, check_condition, load_model_spec, sample_graph
+from .models import (
+    MODEL_KINDS, ModelError, alpha_stats, build_model, check_condition, load_model_spec, sample_graph,
+)
 from .oracle import min_extension_exact
 
 __all__ = ["main", "EXIT_OK", "EXIT_BAD_CONFIG", "EXIT_IO"]
@@ -47,7 +49,7 @@ def _build_model(args):
     if args.model is not None:
         return load_model_spec(args.model)
     if args.model_type is None:
-        raise ConfigError("provide --model FILE or --model-type with its parameters")
+        raise ModelError("provide --model FILE or --model-type with its parameters")
     fields = {"type": args.model_type, "n": args.n}
     for _, keys in MODEL_KINDS.values():
         fields.update((key, getattr(args, key)) for key in keys)
@@ -162,17 +164,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_experiment(args) -> int:
     model = _build_model(args)
-    config = ExperimentConfig(
-        model=model,
-        trials=args.trials,
-        base_seed=args.seed,
-        beta=args.beta,
-        gamma=args.gamma,
-        max_random_attempts=args.max_attempts,
-    )
-    records, summary = run_trials(config)
+    records, summary = run_trials(model, args.trials, args.seed, args.beta, args.gamma, args.max_attempts)
     write_records(records, args.out, args.format)
-    _print_json({"out": args.out, "format": args.format, "summary": summary.as_dict()})
+    _print_json({"out": args.out, "format": args.format, "summary": asdict(summary)})
     return EXIT_OK
 
 

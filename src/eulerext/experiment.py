@@ -2,7 +2,7 @@
 
 Each trial derives its own 64-bit seed from (base_seed, trial_index)
 with a splitmix-style mixer, so trials are order-independent and runs
-with the same config produce byte-identical output files. One trial
+with the same settings produce byte-identical output files. One trial
 samples a graph, records its statistics and event memberships, runs the
 extension engine, verifies any success independently, and (for tiny
 graphs) cross-checks against the exact oracle.
@@ -13,7 +13,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +27,7 @@ from .models import EdgeProbabilityModel, alpha_stats, sample_graph
 from .oracle import ORACLE_MAX_VERTICES, min_extension_exact
 
 __all__ = [
-    "ConfigError",
     "trial_seed",
-    "ExperimentConfig",
     "TrialRecord",
     "EMITTED_FIELDS",
     "Summary",
@@ -41,10 +39,6 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
 
 
 def _mix64(x: int) -> int:
@@ -64,29 +58,6 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     base_seed = _as_int(base_seed, ValueError, "base seed must be an int", -math.inf)
     trial_index = _as_int(trial_index, ValueError, "trial index must be a nonnegative int")
     return _mix64((base_seed + (trial_index + 1) * _GOLDEN) & _MASK64)
-
-
-@dataclass
-class ExperimentConfig:
-    model: EdgeProbabilityModel
-    trials: int
-    base_seed: int = 0
-    beta: float = DEFAULT_BETA
-    gamma: float = DEFAULT_GAMMA
-    max_random_attempts: int | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.model, EdgeProbabilityModel):
-            raise ConfigError(f"model must be an EdgeProbabilityModel, got {type(self.model).__name__}")
-        self.trials = _as_int(self.trials, ConfigError, "trials must be a positive int", 1)
-        self.base_seed = _as_int(self.base_seed, ConfigError, "base seed must be a nonnegative int")
-        try:
-            default_params(self.model.n, self.beta, self.gamma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.max_random_attempts is not None:
-            rule = "max_random_attempts must be None or >= 0"
-            self.max_random_attempts = _as_int(self.max_random_attempts, ConfigError, rule)
 
 
 @dataclass
@@ -135,9 +106,10 @@ def run_single_trial(
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
 
+    # draws no random numbers, so a bad beta or gamma fails before sampling
+    params = default_params(model.n, beta, gamma)
     g = sample_graph(model, rng)
     stats = alpha_stats(model)
-    params = default_params(model.n, beta, gamma)
     good = e_good_check(g, stats, params)
     all_ok = e_all_check(g)
 
@@ -179,18 +151,26 @@ def run_single_trial(
     )
 
 
-def run_trials(config: ExperimentConfig) -> tuple[list[TrialRecord], "Summary"]:
-    """Run all configured trials; returns the records and their summary."""
+def run_trials(
+    model: EdgeProbabilityModel,
+    trials: int,
+    base_seed: int = 0,
+    beta: float = DEFAULT_BETA,
+    gamma: float = DEFAULT_GAMMA,
+    max_random_attempts: int | None = None,
+) -> tuple[list[TrialRecord], "Summary"]:
+    """Run trials 0 .. trials-1 of run_single_trial; returns records and summary.
+
+    Only the trial count and the model's type are checked here; the base
+    seed, beta and gamma, and the probe budget are checked where they are
+    used (trial_seed, default_params, extend), within trial 0.
+    """
+    if not isinstance(model, EdgeProbabilityModel):
+        raise ValueError(f"model must be an EdgeProbabilityModel, got {type(model).__name__}")
+    trials = _as_int(trials, ValueError, "trials must be a positive int", 1)
     records = [
-        run_single_trial(
-            config.model,
-            i,
-            config.base_seed,
-            beta=config.beta,
-            gamma=config.gamma,
-            max_random_attempts=config.max_random_attempts,
-        )
-        for i in range(config.trials)
+        run_single_trial(model, i, base_seed, beta, gamma, max_random_attempts)
+        for i in range(trials)
     ]
     return records, summarize(records)
 
@@ -212,9 +192,6 @@ class Summary:
     delta_std: float
     m_mean: float
     m_std: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def summarize(records: list[TrialRecord]) -> Summary:

@@ -186,9 +186,6 @@ class Graph:
             for v in _bits(self._adj[u] >> (u + 1)):
                 yield (u, u + 1 + v)
 
-    def odd_vertices(self) -> set[int]:
-        return set(_bits(self._odd))
-
     def t_value(self) -> int:
         """Half the number of odd-degree vertices."""
         return self._odd.bit_count() // 2

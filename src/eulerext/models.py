@@ -53,13 +53,6 @@ class EdgeProbabilityModel:
         self._pair_probs = None
         self._alpha = None
 
-    def probability(self, u: int, v: int) -> float:
-        """p(u, v) for two distinct vertices, read off row u."""
-        v = self._vertex(v)
-        if u == v:
-            raise ModelError("pair probability is undefined on the diagonal")
-        return float(self.probability_row(u)[v])
-
     def probability_row(self, u: int) -> np.ndarray:
         """Length-n vector of p(u, v) with 0.0 in the diagonal slot."""
         raise NotImplementedError
@@ -139,7 +132,9 @@ class ExplicitModel(EdgeProbabilityModel):
         mat = np.array(matrix, dtype=float)
         if mat.shape != (n, n):
             raise ModelError(f"matrix shape {mat.shape} does not match n={n}")
-        if not np.array_equal(mat, mat.T):
+        # NaN != NaN, so a mirrored NaN needs the NaN-aware compare to reach the
+        # range check below; that compare is about 5x slower, so it only backs up
+        if not (np.array_equal(mat, mat.T) or np.array_equal(mat, mat.T, equal_nan=True)):
             raise ModelError("probability matrix must be symmetric")
         np.fill_diagonal(mat, 0.0)
         if np.isnan(mat).any() or (mat < 0).any() or (mat > 1).any():

@@ -135,7 +135,7 @@ def min_common_non_neighbors_ref(g):
 
 
 def phase_pairing_ref(g):
-    odd = sorted(g.odd_vertices())
+    odd = sorted(odd_vertices_ref(g.n, g.edges()))
     matched = set()
     added = []
     for i, u in enumerate(odd):
@@ -315,7 +315,7 @@ def odd_fraction_probe(n, p, trials, seed=0):
     for i in range(trials):
         rng = np.random.default_rng(trial_seed(seed, i))
         g = sample_graph(model, rng)
-        total += len(g.odd_vertices()) / n
+        total += g.odd_mask.bit_count() / n
     return total / trials
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from eulerext import (
     BoundParams,
     ExampleFamilyModel,
-    ExperimentConfig,
     ExplicitModel,
     Graph,
     HomogeneousModel,
@@ -47,7 +46,7 @@ def test_criterion_1_structured_family_run():
     cond = check_condition(stats, n, beta=0.2, gamma=0.1)
 
     start = time.perf_counter()
-    records, summary = run_trials(ExperimentConfig(model, trials=200, base_seed=1001))
+    records, summary = run_trials(model, 200, base_seed=1001)
     elapsed = time.perf_counter() - start
 
     print(

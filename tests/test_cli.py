@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -90,7 +91,7 @@ def test_extend_success(tmp_path, capsys):
     assert obj["failure_reason"] is None and obj["failing_pair"] is None
     assert obj["out"] == out
     extended = load_edge_list(out)
-    assert extended.odd_vertices() == set()
+    assert extended.odd_mask == 0
     assert extended.eulerian_circuit().edge_count() == 3
 
 
@@ -321,6 +322,43 @@ def test_experiment_jsonl(tmp_path, capsys):
     assert [r["trial_index"] for r in rows] == [0, 1, 2]
 
 
+def test_experiment_takes_a_negative_base_seed(tmp_path, capsys):
+    # one seed rule for the batch, `sample` and trial_seed: any int
+    model = ["--model-type", "homogeneous", "--n", "10", "--p", "0.4"]
+    argv = ["experiment", *model, "--trials", "3", "--seed", "-1"]
+    for name in ("a.csv", "b.csv"):
+        code, _ = run_cli(capsys, *argv, "--out", str(tmp_path / name))
+        assert code == EXIT_OK
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    with open(tmp_path / "a.csv", newline="") as fh:
+        seeds = [int(row["seed"]) for row in csv.DictReader(fh)]
+    sampled = [
+        run_cli(capsys, "sample", *model, "--seed", "-1", "--trial-index", str(i))[1]["derived_seed"]
+        for i in range(3)
+    ]
+    assert seeds == sampled == [trial_seed(-1, i) for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trials", "0"], "trials must be a positive int, got 0"),
+        (["--beta", "0.6"], "beta must lie in (0, 1/2), got 0.6"),
+        (["--gamma", "0.5"], "gamma must lie in (0, 1/2 - beta), got gamma=0.5, beta=0.2"),
+        (["--max-attempts", "-1"], "max_random_attempts must be None or >= 0, got -1"),
+    ],
+    ids=["trials", "beta", "gamma", "max_attempts"],
+)
+def test_bad_experiment_setting_is_config_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "r.csv"
+    argv = ["experiment", "--model-type", "homogeneous", "--n", "10", "--p", "0.4", "--trials", "2"]
+    code = main([*argv, *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_CONFIG and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # -- exit codes and error handling --
 
 
@@ -428,6 +466,14 @@ def test_bad_spec_file_is_config_error(tmp_path, capsys):
     assert code == EXIT_BAD_CONFIG
 
 
+def test_nan_matrix_entry_is_a_range_error(tmp_path, capsys):
+    (tmp_path / "m.tri").write_text("0.5\nnan 0.25\n")
+    spec = tmp_path / "model.spec"
+    spec.write_text("type: matrix\nn: 3\nmatrix_file: m.tri\n")
+    assert main(["bounds", "--model", str(spec)]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == "error: matrix entries must lie in [0, 1]\n"
+
+
 def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -460,9 +506,15 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["n"] == 16
 
 
-def test_module_run_is_quiet():
+def test_module_run_is_quiet(tmp_path):
     # the package must not import cli, or -m would run a second copy of it
     # and warn on stderr
-    proc = run_module("bounds", "--model-type", "homogeneous", "--n", "100", "--p", "0.2", "--t", "3")
-    assert proc.returncode == 0
-    assert proc.stderr == ""
+    runs = [
+        ["bounds", "--model-type", "homogeneous", "--n", "100", "--p", "0.2", "--t", "3"],
+        ["experiment", "--model-type", "homogeneous", "--n", "10", "--p", "0.4", "--trials", "2",
+         "--seed", "-1", "--out", str(tmp_path / "r.csv")],
+    ]
+    for argv in runs:
+        proc = run_module(*argv)
+        assert proc.returncode == 0
+        assert proc.stderr == ""

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 
@@ -7,11 +8,10 @@ import pytest
 
 from eulerext import (
     EMITTED_FIELDS,
-    ConfigError,
-    ExperimentConfig,
     HomogeneousModel,
     Summary,
     TrialRecord,
+    experiment,
     min_extension_exact,
     run_single_trial,
     run_trials,
@@ -67,7 +67,7 @@ def test_trial_seed_spread():
     assert len(seeds) == 1000
 
 
-# -- config validation --
+# -- batch settings --
 
 
 def model10():
@@ -75,9 +75,13 @@ def model10():
 
 
 def test_config_defaults():
-    c = ExperimentConfig(model10(), trials=3)
-    assert c.base_seed == 0 and c.beta == 0.2 and c.gamma == 0.1
-    assert c.max_random_attempts is None
+    # a batch takes the settings of one trial, with the same defaults
+    batch = inspect.signature(run_trials).parameters
+    trial = inspect.signature(run_single_trial).parameters
+    shared = ("base_seed", "beta", "gamma", "max_random_attempts")
+    assert list(batch) == ["model", "trials", *shared]
+    assert [batch[k].default for k in shared] == [0, 0.2, 0.1, None]
+    assert [trial[k].default for k in shared[1:]] == [0.2, 0.1, None]
 
 
 @pytest.mark.parametrize(
@@ -86,7 +90,7 @@ def test_config_defaults():
         dict(trials=0),
         dict(trials=-2),
         dict(trials=True),
-        dict(trials=2, base_seed=-1),
+        dict(trials=2, base_seed=2.5),
         dict(trials=2, beta=0.6),
         dict(trials=2, gamma=0.5),
         dict(trials=2, max_random_attempts=-3),
@@ -96,13 +100,24 @@ def test_config_defaults():
     ],
 )
 def test_config_rejects(kwargs):
-    with pytest.raises(ConfigError):
-        ExperimentConfig(model10(), **kwargs)
+    with pytest.raises(ValueError):
+        run_trials(model10(), **kwargs)
 
 
 def test_config_rejects_non_model():
-    with pytest.raises(ConfigError):
-        ExperimentConfig("not a model", trials=2)
+    with pytest.raises(ValueError, match="model must be an EdgeProbabilityModel, got str"):
+        run_trials("not a model", 2)
+
+
+def test_bad_exponents_fail_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled a graph before checking the exponents")
+
+    monkeypatch.setattr(experiment, "sample_graph", no_sampling)
+    with pytest.raises(ValueError, match="beta must lie in"):
+        run_single_trial(model10(), 0, 0, beta=0.6)
+    with pytest.raises(ValueError, match="beta must lie in"):
+        run_trials(model10(), 2, beta=0.6)
 
 
 # -- single trials --
@@ -178,7 +193,7 @@ def test_single_trial_skips_oracle_above_limit():
 
 
 def test_run_trials_summary_fractions():
-    (records, summary) = run_trials(ExperimentConfig(model10(), trials=20, base_seed=1))
+    (records, summary) = run_trials(model10(), 20, base_seed=1)
     assert summary.trials == 20 and len(records) == 20
     assert summary.success_fraction == sum(r.engine_success for r in records) / 20
     assert summary.within_3t_fraction <= summary.success_fraction
@@ -188,7 +203,6 @@ def test_run_trials_summary_fractions():
         sum((r.m_sampled - summary.m_mean) ** 2 for r in records) / 20
     )
     assert summary.m_std == pytest.approx(exp_std)
-    assert summary.as_dict()["trials"] == 20
 
 
 def test_summarize_rejects_empty():
@@ -198,7 +212,7 @@ def test_summarize_rejects_empty():
 
 def test_records_independent_of_batch_position():
     # trial i is a function of (base_seed, i) alone, not of earlier trials
-    records, _ = run_trials(ExperimentConfig(model10(), trials=5, base_seed=42))
+    records, _ = run_trials(model10(), 5, base_seed=42)
     solo = run_single_trial(model10(), 3, base_seed=42)
     for name in EMITTED_FIELDS:
         assert getattr(records[3], name) == getattr(solo, name)
@@ -217,7 +231,7 @@ def test_emitted_fields_exclude_wall_time():
 
 def test_csv_format_and_determinism(tmp_path):
     for name in ("a.csv", "b.csv"):
-        records, _ = run_trials(ExperimentConfig(model10(), trials=6, base_seed=3))
+        records, _ = run_trials(model10(), 6, base_seed=3)
         write_records(records, tmp_path / name, "csv")
     a = (tmp_path / "a.csv").read_bytes()
     assert a == (tmp_path / "b.csv").read_bytes()
@@ -238,7 +252,7 @@ def test_csv_format_and_determinism(tmp_path):
 
 def test_jsonl_format(tmp_path):
     path = tmp_path / "r.jsonl"
-    records, _ = run_trials(ExperimentConfig(model10(), trials=4, base_seed=8))
+    records, _ = run_trials(model10(), 4, base_seed=8)
     write_records(records, path, "jsonl")
     lines = path.read_text().splitlines()
     assert len(lines) == 4
@@ -255,7 +269,7 @@ def test_jsonl_format(tmp_path):
 
 
 def test_csv_jsonl_carry_identical_values(tmp_path):
-    records, _ = run_trials(ExperimentConfig(model10(), trials=3, base_seed=2))
+    records, _ = run_trials(model10(), 3, base_seed=2)
     write_records(records, tmp_path / "x.csv", "csv")
     write_records(records, tmp_path / "x.jsonl", "jsonl")
     with open(tmp_path / "x.csv", newline="") as fh:
@@ -273,7 +287,7 @@ def test_csv_jsonl_carry_identical_values(tmp_path):
 
 
 def test_write_records_unknown_format(tmp_path):
-    records, _ = run_trials(ExperimentConfig(model10(), trials=1))
+    records, _ = run_trials(model10(), 1)
     with pytest.raises(ValueError):
         write_records(records, tmp_path / "x.bin", "parquet")
 
@@ -316,7 +330,7 @@ def test_odd_fraction_probe_validation():
 
 
 def test_summary_is_frozen():
-    s = summarize(run_trials(ExperimentConfig(model10(), trials=2))[0])
+    s = summarize(run_trials(model10(), 2)[0])
     assert isinstance(s, Summary)
     with pytest.raises(Exception):
         s.trials = 99

@@ -26,6 +26,7 @@ from eulerext import (
 
 from conftest import (
     all_pairs,
+    bitset,
     is_valid_extension_ref,
     odd_vertices_ref,
     phase_clique_reduction_ref,
@@ -88,7 +89,7 @@ def test_pairing_residual_is_odd_clique(n, seed):
     rnd = random.Random(seed)
     g = graph(n, random_connected_edges(rnd, n))
     added, residual = phase_pairing(g)
-    assert g.odd_vertices() == set(residual)
+    assert g.odd_mask == bitset(residual)
     for i, u in enumerate(residual):
         for v in residual[i + 1:]:
             assert g.has_edge(u, v)
@@ -105,7 +106,7 @@ def test_clique_reduction_k4_plus_outsider():
     assert pairs(added) == [(0, 4), (1, 4), (2, 4), (3, 4)]
     assert pending == []
     assert all(e.phase == PHASE_TWO_PATH for e in added)
-    assert g.odd_vertices() == set()
+    assert g.odd_mask == 0
 
 
 def test_clique_reduction_never_routes_through_input_set():
@@ -253,7 +254,7 @@ def test_extend_two_path_golden():
     # K4 with vertex 4 hanging off 2 and 3: the odd pair {0, 1} is adjacent,
     # so phase one skips it, and 4 is the one common non-neighbor
     g = graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
-    assert sorted(g.odd_vertices()) == [0, 1]
+    assert g.odd_mask == bitset([0, 1])
     r = extend(g)
     assert r.success and r.t_input == 1
     assert r.edge_pairs() == [(0, 4), (1, 4)]
@@ -265,7 +266,7 @@ def test_extend_three_path_golden():
     # odd pair {0, 1} is adjacent; every other vertex is adjacent to 0 or 1,
     # so no two-edge detour exists; 0-2-3-1 is the first three-edge one
     g = graph(5, [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4), (0, 4), (1, 4)])
-    assert sorted(g.odd_vertices()) == [0, 1]
+    assert g.odd_mask == bitset([0, 1])
     r = extend(g)
     assert r.success and r.t_input == 1
     assert r.edge_pairs() == [(0, 2), (2, 3), (1, 3)]

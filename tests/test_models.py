@@ -61,12 +61,31 @@ def test_explicit_validation():
         ExplicitModel(3, over)
 
 
+def test_explicit_nan_entry_fails_the_range_check():
+    # NaN != NaN, so a symmetry test without equal_nan named the wrong fault
+    mat = np.full((3, 3), 0.5)
+    mat[0, 1] = mat[1, 0] = np.nan
+    with pytest.raises(ModelError, match=r"matrix entries must lie in \[0, 1\]"):
+        ExplicitModel(3, mat)
+    mat[1, 0] = 0.5  # a NaN facing a number is an asymmetry
+    with pytest.raises(ModelError, match="must be symmetric"):
+        ExplicitModel(3, mat)
+
+
+def test_explicit_nan_diagonal_is_zeroed():
+    mat = np.full((3, 3), 0.5)
+    np.fill_diagonal(mat, np.nan)
+    m = ExplicitModel(3, mat)
+    assert [m.probability_row(u)[u] for u in range(3)] == [0.0, 0.0, 0.0]
+    assert m.probability_row(0)[1] == 0.5
+
+
 def test_explicit_diagonal_ignored():
     mat = np.full((3, 3), 0.5)
     np.fill_diagonal(mat, 7.0)  # junk diagonal is zeroed, not range-checked
     m = ExplicitModel(3, mat)
     assert m.probability_row(0)[0] == 0.0
-    assert m.probability(0, 1) == 0.5
+    assert m.probability_row(0)[1] == 0.5
 
 
 def test_family_validation():
@@ -80,12 +99,11 @@ def test_family_validation():
 
 def test_probability_argument_checks():
     m = HomogeneousModel(5, 0.5)
+    assert m.probability_row(2)[2] == 0.0  # the diagonal slot carries no probability
     with pytest.raises(ModelError):
-        m.probability(2, 2)
+        m.probability_row(5)
     with pytest.raises(ModelError):
-        m.probability(0, 5)
-    with pytest.raises(ModelError):
-        m.probability(-1, 2)
+        m.probability_row(-1)
 
 
 # -- example family structure --
@@ -101,26 +119,25 @@ def test_family_block_boundaries_n20():
 
 def test_family_rules_n20():
     m = ExampleFamilyModel(20, 0.9, 0.1)
-    assert m.probability(0, 3) == 1.0  # inside the forced-on block
-    assert m.probability(6, 8) == 0.0  # inside the forced-off block
-    assert m.probability(7, 12) == 0.0
-    assert m.probability(6, 7) == 1.0  # cycle edge beats the zero block
-    assert m.probability(4, 5) == 1.0
-    assert m.probability(5, 7) == 0.1  # spans the two blocks: default
-    assert m.probability(6, 14) == 0.1  # beyond the zero block: default
-    assert m.probability(13, 15) == 0.1
+    assert m.probability_row(0)[3] == 1.0  # inside the forced-on block
+    assert m.probability_row(6)[8] == 0.0  # inside the forced-off block
+    assert m.probability_row(7)[12] == 0.0
+    assert m.probability_row(6)[7] == 1.0  # cycle edge beats the zero block
+    assert m.probability_row(4)[5] == 1.0
+    assert m.probability_row(5)[7] == 0.1  # spans the two blocks: default
+    assert m.probability_row(6)[14] == 0.1  # beyond the zero block: default
+    assert m.probability_row(13)[15] == 0.1
     # every pair at the last vertex is a, its two cycle edges included
-    assert m.probability(18, 19) == 0.9
-    assert m.probability(0, 19) == 0.9
-    assert m.probability(6, 19) == 0.9
-    assert m.probability(3, 19) == 0.9
+    assert m.probability_row(18)[19] == 0.9
+    assert m.probability_row(0)[19] == 0.9
+    assert m.probability_row(6)[19] == 0.9
+    assert m.probability_row(3)[19] == 0.9
 
 
 def test_family_symmetry():
     m = ExampleFamilyModel(24, 0.7, 0.3)
-    for u in range(24):
-        for v in range(u + 1, 24):
-            assert m.probability(u, v) == m.probability(v, u)
+    rows = np.array([m.probability_row(u) for u in range(24)])
+    assert np.array_equal(rows, rows.T)
 
 
 @pytest.mark.parametrize("n", [16, 20, 24, 47])
@@ -152,7 +169,7 @@ def test_row_value_counts_agree_with_rows():
 def test_pair_probabilities_order_and_cache():
     m = ExplicitModel(4, symmetric_matrix(4, 2))
     vec = m.pair_probabilities()
-    expected = [m.probability(u, v) for u in range(4) for v in range(u + 1, 4)]
+    expected = [m.probability_row(u)[v] for u in range(4) for v in range(u + 1, 4)]
     assert list(vec) == pytest.approx(expected)
     assert m.pair_probabilities() is vec
 
@@ -488,9 +505,9 @@ def test_matrix_spec_resolves_relative_to_spec_file(tmp_path):
     spec.write_text("type: matrix\nn: 3\nmatrix_file: m.tri\n")
     m = load_model_spec(spec)
     assert isinstance(m, ExplicitModel)
-    assert m.probability(0, 1) == 0.5
-    assert m.probability(0, 2) == 0.25
-    assert m.probability(1, 2) == 0.75
+    assert m.probability_row(0)[1] == 0.5
+    assert m.probability_row(0)[2] == 0.25
+    assert m.probability_row(1)[2] == 0.75
 
 
 def test_read_lower_triangular_golden(tmp_path):

@@ -8,9 +8,7 @@ import pytest
 
 import eulerext
 from eulerext import (
-    ConfigError,
     ExampleFamilyModel,
-    ExperimentConfig,
     Graph,
     GraphError,
     HomogeneousModel,
@@ -22,6 +20,7 @@ from eulerext import (
     min_extension_exact,
     phase_clique_reduction,
     phase_three_paths,
+    run_trials,
     step_success_bound,
     trial_seed,
 )
@@ -63,6 +62,13 @@ def path5():
 MODEL = HomogeneousModel(5, 0.3)
 STATS = alpha_stats(MODEL)
 
+
+def batch_seeds(*args, **kwargs):
+    # the record seeds and the summary's count; wall_time differs between runs
+    records, summary = run_trials(*args, **kwargs)
+    return [r.seed for r in records], summary.trials
+
+
 # every entry point that takes an integer, called with x = 2 in one place,
 # and the error class it raises for a value that is not one
 INTEGER_SITES = {
@@ -83,7 +89,6 @@ INTEGER_SITES = {
     "extend.budget": (ValueError, lambda x: extend(path5(), np.random.default_rng(0), x)),
     "min_extension_exact.cap": (ValueError, lambda x: min_extension_exact(path5(), cap=x)),
     "model.n": (ModelError, lambda x: vars(HomogeneousModel(x, 0.3))),
-    "model.probability": (ModelError, lambda x: (MODEL.probability(x, 0), MODEL.probability(0, x))),
     "model.probability_row": (
         ModelError,
         lambda x: ExampleFamilyModel(20, 0.4, 0.2).probability_row(x).tolist(),
@@ -94,12 +99,9 @@ INTEGER_SITES = {
     "step_success_bound.t": (ValueError, lambda x: step_success_bound(STATS, 5, default_params(5), x)),
     "trial_seed.base": (ValueError, lambda x: trial_seed(x, 0)),
     "trial_seed.index": (ValueError, lambda x: trial_seed(0, x)),
-    "config.trials": (ConfigError, lambda x: ExperimentConfig(MODEL, trials=x)),
-    "config.base_seed": (ConfigError, lambda x: ExperimentConfig(MODEL, trials=1, base_seed=x)),
-    "config.max_random_attempts": (
-        ConfigError,
-        lambda x: ExperimentConfig(MODEL, trials=1, max_random_attempts=x),
-    ),
+    "run_trials.trials": (ValueError, lambda x: batch_seeds(MODEL, x)),
+    "run_trials.base_seed": (ValueError, lambda x: batch_seeds(MODEL, 1, x)),
+    "run_trials.max_random_attempts": (ValueError, lambda x: batch_seeds(MODEL, 1, max_random_attempts=x)),
 }
 
 
