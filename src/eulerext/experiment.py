@@ -20,7 +20,8 @@ import numpy as np
 
 from .bounds import DEFAULT_BETA, DEFAULT_GAMMA, default_params, e_all_check, e_good_check
 from .extension import (
-    FAIL_DISCONNECTED, PHASE_PAIRING, PHASE_THREE_PATH, PHASE_TWO_PATH, extend, verify_extension,
+    FAIL_DISCONNECTED, PHASE_PAIRING, PHASE_THREE_PATH, PHASE_TWO_PATH, _probe_budget, extend,
+    verify_extension,
 )
 from .graph import _as_int
 from .models import EdgeProbabilityModel, alpha_stats, sample_graph
@@ -106,8 +107,9 @@ def run_single_trial(
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
 
-    # draws no random numbers, so a bad beta or gamma fails before sampling
+    # draw no random numbers, so a bad beta, gamma or budget fails before sampling
     params = default_params(model.n, beta, gamma)
+    max_random_attempts = _probe_budget(max_random_attempts)
     g = sample_graph(model, rng)
     stats = alpha_stats(model)
     good = e_good_check(g, stats, params)
@@ -163,7 +165,8 @@ def run_trials(
 
     Only the trial count and the model's type are checked here; the base
     seed, beta and gamma, and the probe budget are checked where they are
-    used (trial_seed, default_params, extend), within trial 0.
+    used (trial_seed, default_params, extend's budget rule), within trial
+    0 and before its sample is drawn.
     """
     if not isinstance(model, EdgeProbabilityModel):
         raise ValueError(f"model must be an EdgeProbabilityModel, got {type(model).__name__}")

@@ -13,6 +13,8 @@ per odd vertex pair.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graph import Graph, GraphError, _as_int, _bits
 
 __all__ = [
@@ -37,6 +39,9 @@ PHASE_THREE_PATH = "three_path"
 
 FAIL_DISCONNECTED = "disconnected_input"
 FAIL_NO_THREE_PATH = "no_three_path"
+
+# phase three draws at most this many probes per vector call (16 KB of int64)
+PROBE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -138,14 +143,19 @@ def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: i
     pair (u, v) it probes uniformly random (y, z) up to the attempt budget
     looking for a detour u-y-z-v (either orientation) made of three absent
     edges, then falls back to a full lexicographic scan. Only a pair with
-    no detour at all stops the phase. Raises GraphError for an invalid or
-    repeated vertex in clique, or for an odd number of them, before any
-    probe or edge, and ValueError for a budget that is not an int >= 0.
+    no detour at all stops the phase.
+
+    rng is None (no probes) or a numpy Generator. Probes are drawn in
+    blocks, but the generator ends where one scalar rng.integers(n) per
+    probe coordinate, y then z, would leave it: after 2 * attempts draws.
+    Raises GraphError for an invalid or repeated vertex in clique, or for
+    an odd number of them, and ValueError for an rng of another type or a
+    budget that is not an int >= 0, all before any probe or edge.
     """
-    n = g.n
     pend = sorted(g.vertex_list(clique))
     if len(pend) % 2:
         raise GraphError(f"{len(pend)} vertices cannot be paired")
+    _check_rng(rng)
     budget = _as_int(max_attempts_per_pair, ValueError, "max_attempts_per_pair must be an int >= 0")
     added: list[AddedEdge] = []
     attempts = 0
@@ -153,14 +163,9 @@ def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: i
         ends = (1 << u) | (1 << v)
         nu, nv = g.non_neighbors_mask(u) & ~ends, g.non_neighbors_mask(v) & ~ends
         triple = None
-        if rng is not None:
-            for _ in range(budget):
-                attempts += 1
-                y = int(rng.integers(n))
-                z = int(rng.integers(n))
-                triple = _valid_three_path(g, u, v, nu, nv, y, z)
-                if triple is not None:
-                    break
+        if rng is not None and budget:
+            triple, used = _probe_three_path(g, u, v, nu, nv, rng, budget)
+            attempts += used
         if triple is None:
             triple = _scan_three_path(g, u, v, nu, nv)
         if triple is None:
@@ -169,6 +174,39 @@ def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: i
             g.add_edge(lo, hi)
             added.append(AddedEdge(lo, hi, PHASE_THREE_PATH))
     return ThreePathOutcome(tuple(added), attempts, failing_pair=None)
+
+
+def _check_rng(rng):
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be None or a numpy Generator, got {type(rng).__name__}")
+
+
+def _probe_three_path(g: Graph, u: int, v: int, nu: int, nv: int, rng, budget: int):
+    """First detour among up to budget random probes (y, z), and the
+    number of probes used, with nu and nv as in _scan_three_path.
+
+    Each block of probes is one rng.integers call, screened by the 0/1
+    rows of nu and nv; only the screened probes are tested in full. On a
+    hit the generator is rewound to the block's start and advanced by the
+    probes up to the hit, so it ends exactly where a loop of scalar draws
+    that stops at the hit would leave it.
+    """
+    n = g.n
+    in_u, in_v = g.non_neighbor_matrix([u, v])
+    in_u[[u, v]] = in_v[[u, v]] = False
+    used = 0
+    while used < budget:
+        k = min(PROBE_BLOCK, budget - used)
+        state = rng.bit_generator.state
+        y, z = rng.integers(n, size=(k, 2)).T
+        for j in np.flatnonzero((in_u[y] & in_v[z]) | (in_u[z] & in_v[y])).tolist():
+            triple = _valid_three_path(g, u, v, nu, nv, int(y[j]), int(z[j]))
+            if triple is not None:
+                rng.bit_generator.state = state
+                rng.integers(n, size=2 * (j + 1))
+                return triple, used + j + 1
+        used += k
+    return None, used
 
 
 def _valid_three_path(g: Graph, u: int, v: int, nu: int, nv: int, y: int, z: int):
@@ -205,6 +243,14 @@ def _scan_three_path(g: Graph, u: int, v: int, nu: int, nv: int):
     return None
 
 
+def _probe_budget(max_random_attempts) -> int | None:
+    """extend's per-pair probe budget: None (the default) or an int >= 0;
+    ValueError otherwise."""
+    if max_random_attempts is None:
+        return None
+    return _as_int(max_random_attempts, ValueError, "max_random_attempts must be None or >= 0")
+
+
 def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> ExtensionResult:
     """Add complement edges to make g Eulerian.
 
@@ -213,10 +259,14 @@ def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> Extens
     rng=None it goes straight to the deterministic exhaustive scan, so the
     whole run is reproducible without a seed. The failure reason is
     FAIL_DISCONNECTED exactly when g is not connected.
+
+    rng is None or a numpy Generator. The run advances it by exactly
+    2 * attempts_phase3 draws, to where one scalar rng.integers(n) per
+    probe coordinate would leave it. Another rng type or a budget that is
+    not None or an int >= 0 raises ValueError before any work.
     """
-    if max_random_attempts is not None:
-        rule = "max_random_attempts must be None or >= 0"
-        max_random_attempts = _as_int(max_random_attempts, ValueError, rule)
+    _check_rng(rng)
+    max_random_attempts = _probe_budget(max_random_attempts)
     if not g.is_connected():
         return ExtensionResult(False, g.t_value(), (), failure_reason=FAIL_DISCONNECTED)
     t = g.t_value()

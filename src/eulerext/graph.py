@@ -214,7 +214,8 @@ class Graph:
         n = self.n
         if n <= 1:
             return True
-        return self._reachable_from(0) == (1 << n) - 1
+        full = (1 << n) - 1
+        return self._reachable_from(0, full) == full
 
     def eulerian_circuit(self) -> EulerCircuit:
         """Extract an Eulerian circuit, always following the lowest-numbered
@@ -232,7 +233,7 @@ class Graph:
         if not live:
             return EulerCircuit((0,) if self.n else ())
         start = (live & -live).bit_length() - 1
-        if self._reachable_from(start) & live != live:
+        if self._reachable_from(start, live) & live != live:
             raise NotEulerianError("disconnected")
 
         work = self._adj.copy()
@@ -254,10 +255,13 @@ class Graph:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _reachable_from(self, start: int) -> int:
+    def _reachable_from(self, start: int, goal: int) -> int:
+        """Vertices reached by a breadth-first search from start, which
+        stops after the first level that leaves every vertex of the goal
+        bitset visited; a superset of goal exactly when start reaches it."""
         adj = self._adj
         visited = frontier = 1 << start
-        while frontier:
+        while frontier and goal & ~visited:
             nxt = 0
             m = frontier
             while m:

@@ -209,7 +209,8 @@ def scan_three_path_ref(g, u, v):
 
 
 def phase_three_paths_ref(g, clique, rng, max_attempts_per_pair):
-    """Phase three's probe-then-scan loop over the two references above."""
+    """Phase three's probe-then-scan loop over the two references above,
+    drawing each probe coordinate by one scalar rng.integers call."""
     pend = sorted(clique)
     added = []
     attempts = 0
@@ -231,6 +232,17 @@ def phase_three_paths_ref(g, clique, rng, max_attempts_per_pair):
             g.add_edge(lo, hi)
             added.append(AddedEdge(lo, hi, PHASE_THREE_PATH))
     return ThreePathOutcome(tuple(added), attempts, failing_pair=None)
+
+
+def rng_state(rng):
+    """A generator's bit-generator state with its arrays as lists, so two
+    states compare with ==; None for no generator."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return None if rng is None else plain(rng.bit_generator.state)
 
 
 def sample_graph_ref(model, rng):

@@ -349,9 +349,14 @@ def test_experiment_takes_a_negative_base_seed(tmp_path, capsys):
     ],
     ids=["trials", "beta", "gamma", "max_attempts"],
 )
-def test_bad_experiment_setting_is_config_error(tmp_path, capsys, flags, message):
+def test_bad_experiment_setting_is_config_error(tmp_path, capsys, monkeypatch, flags, message):
+    # every setting is checked before trial 0 draws its n-vertex sample
+    def no_sample(model, rng):
+        raise AssertionError("sampled before the settings were checked")
+
+    monkeypatch.setattr(eulerext.experiment, "sample_graph", no_sample)
     out = tmp_path / "r.csv"
-    argv = ["experiment", "--model-type", "homogeneous", "--n", "10", "--p", "0.4", "--trials", "2"]
+    argv = ["experiment", "--model-type", "homogeneous", "--n", "3000", "--p", "0.3", "--trials", "2"]
     code = main([*argv, *flags, "--out", str(out)])
     captured = capsys.readouterr()
     assert code == EXIT_BAD_CONFIG and captured.out == ""

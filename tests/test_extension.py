@@ -24,6 +24,8 @@ from eulerext import (
     verify_extension,
 )
 
+from eulerext.extension import PROBE_BLOCK
+
 from conftest import (
     all_pairs,
     bitset,
@@ -34,6 +36,7 @@ from conftest import (
     phase_three_paths_ref,
     random_connected_edges,
     random_edges,
+    rng_state,
     scan_three_path_ref,
     valid_three_path_ref,
 )
@@ -198,6 +201,74 @@ def test_three_path_rejects_degenerate_probes():
     out = phase_three_paths(g, [0, 1], np.random.default_rng(1), 50)
     assert out.failing_pair == (0, 1)
     assert out.attempts == 50
+
+
+# -- phase three's probe stream: blocks of draws, scalar-loop end state --
+
+
+def one_detour_graph(n):
+    # K_n less (0, 2), (2, 3) and (1, 3): the pair (0, 1) has the single
+    # detour 0-2-3-1, which a probe hits with chance 2/n^2
+    return graph(n, [e for e in all_pairs(n) if e not in {(0, 2), (2, 3), (1, 3)}])
+
+
+def scalar_draws(rng, n, count):
+    for _ in range(count):
+        rng.integers(n)
+    return rng
+
+
+@pytest.mark.parametrize(
+    "bit_generator, seed, hit",
+    [(np.random.PCG64, 9, 1447), (np.random.MT19937, 2, 1540)],
+    ids=["PCG64", "MT19937"],
+)
+def test_three_path_hit_in_second_block_keeps_scalar_stream(bit_generator, seed, hit):
+    assert PROBE_BLOCK < hit <= 2 * PROBE_BLOCK
+    g = one_detour_graph(55)
+    rng, ref_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    work, ref = g.copy(), g.copy()
+    out = phase_three_paths(work, [0, 1], rng, 2 * PROBE_BLOCK + 3)
+    assert pairs(out.edges) == [(0, 2), (2, 3), (1, 3)] and out.attempts == hit
+    assert out == phase_three_paths_ref(ref, [0, 1], ref_rng, 2 * PROBE_BLOCK + 3)
+    assert work == ref
+    scalar = scalar_draws(np.random.Generator(bit_generator(seed)), 55, 2 * hit)
+    assert rng_state(rng) == rng_state(ref_rng) == rng_state(scalar)
+
+
+def test_three_path_failing_probes_draw_the_whole_budget():
+    # no probe can hit in K_n, so all budget probes are drawn and then the
+    # scan fails too
+    budget = 2 * PROBE_BLOCK + 3
+    g = graph(9, all_pairs(9))
+    rng = np.random.default_rng(3)
+    out = phase_three_paths(g, [0, 1], rng, budget)
+    assert out.attempts == budget and out.failing_pair == (0, 1) and out.edges == ()
+    assert rng_state(rng) == rng_state(scalar_draws(np.random.default_rng(3), 9, 2 * budget))
+
+
+class DuckRng:
+    # integers like a Generator's, but no bit_generator
+    def integers(self, n, size=None):
+        return np.random.default_rng(0).integers(n, size=size)
+
+
+NOT_GENERATORS = [np.random.RandomState(0), np.random.PCG64(0), random.Random(0), DuckRng(), 7]
+
+
+@pytest.mark.parametrize("rng", NOT_GENERATORS, ids=lambda r: type(r).__name__)
+def test_rng_must_be_none_or_a_generator(rng):
+    # checked on entry, before any edge, whatever the graph and the budget
+    message = "rng must be None or a numpy Generator"
+    g = Graph(5)
+    for budget in (0, 5):
+        with pytest.raises(ValueError, match=message):
+            phase_three_paths(g, [0, 1], rng, budget)
+    assert g == Graph(5)
+    # disconnected, already Eulerian, and K_4, whose pairs reach phase three
+    for h in (graph(5, [(0, 1), (1, 2)]), graph(3, [(0, 1), (1, 2), (0, 2)]), graph(4, all_pairs(4))):
+        with pytest.raises(ValueError, match=message):
+            extend(h, rng=rng)
 
 
 def test_three_path_odd_pending_rejected():
@@ -411,7 +482,13 @@ def test_valid_three_path_matches_reference(g):
             assert got == valid_three_path_ref(g, u, v, y, z)
 
 
-@given(dense_graphs, st.booleans(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+# small budgets, and budgets on either side of one and two probe blocks
+def probe_budgets(small):
+    edges = [0, 1, PROBE_BLOCK - 1, PROBE_BLOCK, PROBE_BLOCK + 1, 2 * PROBE_BLOCK + 3]
+    return st.one_of(st.integers(0, small), st.sampled_from(edges))
+
+
+@given(dense_graphs, st.booleans(), probe_budgets(4), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_phases_match_references(g, use_rng, budget, seed):
     def run(pairing, clique_reduction, three_paths):
@@ -420,14 +497,14 @@ def test_phases_match_references(g, use_rng, budget, seed):
         two_path, pending = clique_reduction(work, residual)
         rng = np.random.default_rng(seed) if use_rng else None
         outcome = three_paths(work, pending, rng, budget)
-        return added, residual, two_path, pending, outcome, work
+        return added, residual, two_path, pending, outcome, work, rng_state(rng)
 
     assert run(phase_pairing, phase_clique_reduction, phase_three_paths) == run(
         phase_pairing_ref, phase_clique_reduction_ref, phase_three_paths_ref
     )
 
 
-@given(dense_graphs, st.data(), st.integers(0, 6), st.integers(0, 2**32 - 1))
+@given(dense_graphs, st.data(), probe_budgets(6), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_three_paths_on_any_pairs_match_references(g, data, budget, seed):
     # phase three on vertex pairs that need not form a clique
@@ -437,7 +514,7 @@ def test_three_paths_on_any_pairs_match_references(g, data, budget, seed):
         def run(three_paths):
             work = g.copy()
             rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-            return three_paths(work, pend, rng, budget), work
+            return three_paths(work, pend, rng, budget), work, rng_state(rng)
 
         assert run(phase_three_paths) == run(phase_three_paths_ref)
 

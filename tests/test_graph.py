@@ -359,11 +359,13 @@ def test_is_connected_cases():
     assert not Graph(2).is_connected()
 
 
-@given(st.integers(1, 9), st.integers(0, 10**6))
-@settings(max_examples=80, deadline=None)
-def test_is_connected_matches_reference(n, seed):
+# sparse densities straddle the connectivity threshold ln(n)/n, dense ones
+# connect in two levels, where the search stops early
+@given(st.integers(1, 150), st.sampled_from([0.01, 0.03, 0.06, 0.35, 0.9]), st.integers(0, 10**6))
+@settings(max_examples=120, deadline=None)
+def test_is_connected_matches_reference(n, p, seed):
     rnd = random.Random(seed)
-    edges = random_edges(rnd, n, 0.35)
+    edges = random_edges(rnd, n, p)
     assert Graph.from_edge_list(n, edges).is_connected() == connected_ref(n, edges)
 
 
