@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import DEFAULT_BETA, DEFAULT_GAMMA, default_params, step_success_bound
 from .experiment import run_trials, trial_seed, write_records
-from .extension import PHASE_PAIRING, PHASE_THREE_PATH, PHASE_TWO_PATH, extend
+from .extension import PHASE_PAIRING, PHASE_THREE_PATH, PHASE_TWO_PATH, _verify_or_raise, extend
 from .graph import load_edge_list, save_edge_list
 from .models import (
     MODEL_KINDS, ModelError, alpha_stats, build_model, check_condition, load_model_spec, sample_graph,
@@ -45,8 +45,15 @@ def _add_model_arguments(parser: argparse.ArgumentParser):
             group.add_argument("--" + key.replace("_", "-"), help=f"{what} ({kind})")
 
 
-def _build_model(args):
+def _build_model(args, spec_takes_n=False):
+    """The model of --model FILE or of the inline flags; inline flags next
+    to --model are a config error, except --n where spec_takes_n."""
     if args.model is not None:
+        inline = ["model_type"] + ([] if spec_takes_n else ["n"])
+        inline += [key for _, keys in MODEL_KINDS.values() for key in keys]
+        extra = ["--" + key.replace("_", "-") for key in inline if getattr(args, key) is not None]
+        if extra:
+            raise ModelError(f"--model FILE takes no inline model flags, got {', '.join(extra)}")
         return load_model_spec(args.model)
     if args.model_type is None:
         raise ModelError("provide --model FILE or --model-type with its parameters")
@@ -98,6 +105,7 @@ def _cmd_extend(args) -> int:
     g = load_edge_list(args.graph)
     rng = None if args.seed is None else np.random.default_rng(args.seed)
     result = extend(g, rng=rng, max_random_attempts=args.max_attempts)
+    _verify_or_raise(g, result)
     written = False
     if result.success:
         extended = g.copy()
@@ -140,7 +148,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    model = _build_model(args)
+    model = _build_model(args, spec_takes_n=True)
     stats = alpha_stats(model)
     # with inline flags --n already is the model size; with a spec file it
     # re-evaluates the size-dependent terms at a different n

@@ -348,3 +348,12 @@ def verify_extension(g: Graph, result: ExtensionResult) -> VerificationReport:
         )
     return VerificationReport(not violations, tuple(violations))
 
+
+def _verify_or_raise(g: Graph, result: ExtensionResult):
+    """Raise RuntimeError when a successful result fails verify_extension;
+    a failed result passes. The engine's callers run this before they use
+    or record a success, since an invalid one is an engine bug."""
+    if result.success:
+        report = verify_extension(g, result)
+        if not report.ok:
+            raise RuntimeError("engine produced an invalid extension: " + "; ".join(report.violations))

@@ -111,10 +111,14 @@ class Graph:
         return cls._from_symmetric(matrix)
 
     @classmethod
-    def _from_upper_triangle(cls, upper) -> "Graph":
-        """Build from a square numpy bool matrix that is False on and below
-        the diagonal. Unlike from_bool_adjacency it checks nothing: the
-        sampler draws the matrix this way."""
+    def _from_pair_hits(cls, n: int, hits) -> "Graph":
+        """Build from a numpy bool vector with one entry per pair u < v, in
+        lexicographic (u, v) order, True where the pair is an edge. Unlike
+        from_bool_adjacency it checks nothing: the sampler draws the pairs
+        this way."""
+        upper = np.zeros((n, n), dtype=bool)
+        # a boolean mask is filled in row-major order, which is the (u, v) order
+        upper[~np.tri(n, dtype=bool)] = hits
         return cls._from_symmetric(upper | upper.T)
 
     @classmethod

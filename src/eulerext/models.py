@@ -307,12 +307,8 @@ def sample_graph(model: EdgeProbabilityModel, rng) -> Graph:
     One uniform is consumed per pair in lexicographic order, so the result
     is a deterministic function of the rng state.
     """
-    n = model.n
     pvec = model.pair_probabilities()
-    upper = np.zeros((n, n), dtype=bool)
-    # a boolean mask is filled in row-major order, which is the (u, v) order
-    upper[~np.tri(n, dtype=bool)] = rng.random(len(pvec)) < pvec
-    return Graph._from_upper_triangle(upper)
+    return Graph._from_pair_hits(model.n, rng.random(len(pvec)) < pvec)
 
 
 # -- model spec files --------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import eulerext
-from eulerext import Graph, load_edge_list, save_edge_list, trial_seed
+from eulerext import AddedEdge, ExtensionResult, Graph, load_edge_list, save_edge_list, trial_seed
 from eulerext.cli import EXIT_BAD_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -123,6 +123,18 @@ def test_extend_seeded(tmp_path, capsys):
     assert obj["three_path_edges"] == 3
     code2, obj2 = run_cli(capsys, "extend", "--graph", src, "--seed", "3", "--out", out)
     assert obj2 == obj
+
+
+def test_extend_verifies_before_it_writes(tmp_path, capsys, monkeypatch):
+    # a success that re-adds an input edge is an engine bug: nothing is written
+    src = write_graph(tmp_path, "p3.edges", 3, [(0, 1), (1, 2)])
+    out = tmp_path / "ext.edges"
+    bad = ExtensionResult(True, 1, (AddedEdge(0, 1, "pairing"),))
+    monkeypatch.setattr(eulerext.cli, "extend", lambda g, rng, max_random_attempts: bad)
+    with pytest.raises(RuntimeError, match="engine produced an invalid extension: .*already in the input"):
+        main(["extend", "--graph", src, "--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 # -- oracle --
@@ -280,6 +292,62 @@ def test_spec_file_and_inline_flags_agree(tmp_path, capsys, monkeypatch, kind, k
     for model_args in (spec(missing), inline(missing)):
         assert main(["sample", *model_args]) == EXIT_BAD_CONFIG
     assert "is missing" in capsys.readouterr().err
+
+
+FAMILY_SPEC = "type: example_family\nn: 30\na: 0.6\nb: 0.2\n"
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        pytest.param(command, flags, id=command + flags[0])
+        for command in ("sample", "bounds", "experiment")
+        for flags in (
+            ["--model-type", "homogeneous"],
+            ["--p", "0.9"],
+            ["--a", "0.4"],
+            ["--b", "0.2"],
+            ["--matrix-file", "m.tri"],
+        )
+    ]
+    + [
+        pytest.param("sample", ["--n", "500"], id="sample--n"),
+        pytest.param("experiment", ["--n", "40", "--p", "0.9"], id="experiment--n"),
+    ],
+)
+def test_spec_file_with_inline_model_flags_is_config_error(tmp_path, capsys, command, flags):
+    # bounds alone takes --n next to a spec file, to re-evaluate the model there
+    spec = tmp_path / "fam.model"
+    spec.write_text(FAMILY_SPEC)
+    out = tmp_path / "out"
+    argv = [command, "--model", str(spec), *flags]
+    if command == "sample":
+        argv += ["--out", str(out)]
+    elif command == "experiment":
+        argv += ["--trials", "2", "--out", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_CONFIG and captured.out == ""
+    assert captured.err.startswith("error: --model FILE takes no inline model flags, got --")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec", ["type: homogeneous\nn: 30\np: 0.2\n", FAMILY_SPEC], ids=["homogeneous", "family"]
+)
+def test_sample_is_the_experiment_trial(tmp_path, capsys, spec):
+    # `sample --seed s --trial-index i` draws trial i of `experiment --seed s`
+    model = tmp_path / "m.model"
+    model.write_text(spec)
+    records = tmp_path / "r.jsonl"
+    argv = ["experiment", "--model", str(model), "--seed", "6", "--trials", "4"]
+    assert run_cli(capsys, *argv, "--out", str(records), "--format", "jsonl")[0] == EXIT_OK
+    rows = [json.loads(line) for line in records.read_text().splitlines()]
+    for i, row in enumerate(rows):
+        _, obj = run_cli(capsys, "sample", "--model", str(model), "--seed", "6", "--trial-index", str(i))
+        sampled = (obj["m"], obj["max_degree"], obj["t_value"], obj["connected"])
+        assert sampled == (row["m_sampled"], row["delta_sampled"], row["t_value"], row["connected"])
 
 
 # -- experiment --

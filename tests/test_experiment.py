@@ -138,14 +138,10 @@ def test_single_trial_fields_consistent():
     else:
         assert r.failure_reason in ("disconnected_input", "no_three_path")
         assert not r.within_3t
-    assert r.wall_time >= 0.0
 
 
 def test_single_trial_reproducible():
-    a = run_single_trial(model10(), 7, base_seed=5)
-    b = run_single_trial(model10(), 7, base_seed=5)
-    for name in EMITTED_FIELDS:
-        assert getattr(a, name) == getattr(b, name)
+    assert run_single_trial(model10(), 7, base_seed=5) == run_single_trial(model10(), 7, base_seed=5)
 
 
 def test_single_trial_matches_manual_replay():
@@ -210,23 +206,24 @@ def test_summarize_rejects_empty():
         summarize([])
 
 
+def test_reruns_give_equal_records():
+    # a record holds nothing measured, so the same settings give equal lists
+    first = run_trials(model10(), 6, base_seed=8)
+    assert run_trials(model10(), 6, base_seed=8) == first
+
+
 def test_records_independent_of_batch_position():
     # trial i is a function of (base_seed, i) alone, not of earlier trials
     records, _ = run_trials(model10(), 5, base_seed=42)
-    solo = run_single_trial(model10(), 3, base_seed=42)
-    for name in EMITTED_FIELDS:
-        assert getattr(records[3], name) == getattr(solo, name)
+    assert records[3] == run_single_trial(model10(), 3, base_seed=42)
 
 
 # -- record files --
 
 
-def test_emitted_fields_exclude_wall_time():
-    assert "wall_time" not in EMITTED_FIELDS
+def test_emitted_fields_are_every_record_field():
     assert EMITTED_FIELDS[0] == "trial_index"
-    assert set(EMITTED_FIELDS) | {"wall_time"} == {
-        f.name for f in TrialRecord.__dataclass_fields__.values()
-    }
+    assert EMITTED_FIELDS == tuple(TrialRecord.__dataclass_fields__)
 
 
 def test_csv_format_and_determinism(tmp_path):

@@ -102,6 +102,25 @@ def test_from_bool_adjacency_matches_edge_list():
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 63, 64, 65, 257])
+@pytest.mark.parametrize("fill", ["random", "all", "none"])
+def test_pair_hits_place_the_lexicographic_pairs(n, fill):
+    # one hit per pair u < v in (u, v) order, as the sampler draws them
+    pairs = n * (n - 1) // 2
+    hits = {
+        "random": np.random.default_rng(n).random(pairs) < 0.4,
+        "all": np.ones(pairs, dtype=bool),
+        "none": np.zeros(pairs, dtype=bool),
+    }[fill]
+    adjacency = np.zeros((n, n), dtype=bool)
+    for (u, v), hit in zip(combinations(range(n), 2), hits):
+        adjacency[u, v] = adjacency[v, u] = hit
+    g = Graph._from_pair_hits(n, hits)
+    want = Graph.from_bool_adjacency(adjacency)
+    assert g == want and g.n == n
+    assert g.degrees() == want.degrees() and g.odd_mask == want.odd_mask
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 63, 64, 65, 257])
 def test_non_neighbor_matrix_rows_are_the_masks(n):
     # byte and word boundaries on either side of each width
     edges = random_edges(random.Random(n), n, 0.4)

@@ -1,3 +1,4 @@
+import ast
 import re
 import subprocess
 import sys
@@ -45,6 +46,34 @@ def test_only_graph_reads_its_layout():
     assert readers == ["graph.py"]
 
 
+def test_only_graph_places_the_sampled_pairs():
+    # the pair order of the sampler's hits is Graph._from_pair_hits's business
+    package = Path(eulerext.__file__).parent
+    owners = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if re.search(r"\bnp\.tri\b", path.read_text(encoding="utf-8"))
+    )
+    assert owners == ["graph.py"]
+
+
+def test_one_function_calls_the_verifier():
+    # the trial and `eulerext extend` both verify through the shared check
+    package = Path(eulerext.__file__).parent
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [
+                    (path.name, function.name)
+                    for call in ast.walk(function)
+                    if isinstance(call, ast.Call)
+                    and "verify_extension" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                ]
+    assert callers == [("extension.py", "_verify_or_raise")]
+
+
 def test_only_graph_states_the_integer_and_vertex_rules():
     # every other module calls the rule through _as_int or Graph's methods
     package = Path(eulerext.__file__).parent
@@ -61,12 +90,6 @@ def path5():
 
 MODEL = HomogeneousModel(5, 0.3)
 STATS = alpha_stats(MODEL)
-
-
-def batch_seeds(*args, **kwargs):
-    # the record seeds and the summary's count; wall_time differs between runs
-    records, summary = run_trials(*args, **kwargs)
-    return [r.seed for r in records], summary.trials
 
 
 # every entry point that takes an integer, called with x = 2 in one place,
@@ -99,9 +122,9 @@ INTEGER_SITES = {
     "step_success_bound.t": (ValueError, lambda x: step_success_bound(STATS, 5, default_params(5), x)),
     "trial_seed.base": (ValueError, lambda x: trial_seed(x, 0)),
     "trial_seed.index": (ValueError, lambda x: trial_seed(0, x)),
-    "run_trials.trials": (ValueError, lambda x: batch_seeds(MODEL, x)),
-    "run_trials.base_seed": (ValueError, lambda x: batch_seeds(MODEL, 1, x)),
-    "run_trials.max_random_attempts": (ValueError, lambda x: batch_seeds(MODEL, 1, max_random_attempts=x)),
+    "run_trials.trials": (ValueError, lambda x: run_trials(MODEL, x)),
+    "run_trials.base_seed": (ValueError, lambda x: run_trials(MODEL, 1, x)),
+    "run_trials.max_random_attempts": (ValueError, lambda x: run_trials(MODEL, 1, max_random_attempts=x)),
 }
 
 
