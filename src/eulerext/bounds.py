@@ -91,10 +91,6 @@ class GoodEventCheck:
     deg_ok: bool
     edge_ok: bool
 
-    @property
-    def holds(self) -> bool:
-        return self.deg_ok and self.edge_ok
-
 
 def e_good_check(g: Graph, stats: AlphaStats, params: BoundParams) -> GoodEventCheck:
     """Is the sampled graph typical for its model?

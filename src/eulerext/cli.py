@@ -16,12 +16,10 @@ from dataclasses import asdict
 import numpy as np
 
 from .bounds import DEFAULT_BETA, DEFAULT_GAMMA, default_params, step_success_bound
-from .experiment import run_trials, trial_seed, write_records
+from .experiment import _draw_trial, run_trials, write_records
 from .extension import PHASE_PAIRING, PHASE_THREE_PATH, PHASE_TWO_PATH, _verify_or_raise, extend
 from .graph import load_edge_list, save_edge_list
-from .models import (
-    MODEL_KINDS, ModelError, alpha_stats, build_model, check_condition, load_model_spec, sample_graph,
-)
+from .models import MODEL_KINDS, ModelError, alpha_stats, build_model, check_condition, load_model_spec
 from .oracle import min_extension_exact
 
 __all__ = ["main", "EXIT_OK", "EXIT_BAD_CONFIG", "EXIT_IO"]
@@ -33,13 +31,21 @@ EXIT_IO = 3
 
 def _add_model_arguments(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("model (spec file or inline flags)")
-    group.add_argument("--model", metavar="FILE", help="model spec file (key: value lines)")
+    group.add_argument(
+        "--model",
+        metavar="FILE",
+        help="model spec file (key: value lines); takes no inline model flags, except --n on bounds",
+    )
     group.add_argument(
         "--model-type",
         choices=tuple(MODEL_KINDS),
         help="inline model kind; needs --n plus its parameters",
     )
-    group.add_argument("--n", type=int, help="vertex count for inline models")
+    group.add_argument(
+        "--n",
+        type=int,
+        help="vertex count for inline models; bounds with --model FILE re-evaluates that model at this n",
+    )
     for kind, (_, keys) in MODEL_KINDS.items():
         for key, what in keys.items():
             group.add_argument("--" + key.replace("_", "-"), help=f"{what} ({kind})")
@@ -81,8 +87,7 @@ def _print_json(obj):
 
 def _cmd_sample(args) -> int:
     model = _build_model(args)
-    seed = trial_seed(args.seed, args.trial_index)
-    g = sample_graph(model, np.random.default_rng(seed))
+    seed, _, g = _draw_trial(model, args.seed, args.trial_index)
     if args.out is not None:
         save_edge_list(g, args.out)
     _print_json(

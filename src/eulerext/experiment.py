@@ -60,6 +60,14 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return _mix64((base_seed + (trial_index + 1) * _GOLDEN) & _MASK64)
 
 
+def _draw_trial(model: EdgeProbabilityModel, base_seed: int, trial_index: int):
+    """(seed, rng, g) of one trial; rng goes on to drive the engine's probes,
+    and `eulerext sample` draws the same g as the trial it names."""
+    seed = trial_seed(base_seed, trial_index)
+    rng = np.random.default_rng(seed)
+    return seed, rng, sample_graph(model, rng)
+
+
 @dataclass
 class TrialRecord:
     trial_index: int
@@ -100,13 +108,10 @@ def run_single_trial(
     A successful extension that fails independent verification is an
     engine bug and raises instead of being recorded.
     """
-    seed = trial_seed(base_seed, trial_index)
-    rng = np.random.default_rng(seed)
-
     # draw no random numbers, so a bad beta, gamma or budget fails before sampling
     params = default_params(model.n, beta, gamma)
     max_random_attempts = _probe_budget(max_random_attempts)
-    g = sample_graph(model, rng)
+    seed, rng, g = _draw_trial(model, base_seed, trial_index)
     stats = alpha_stats(model)
     good = e_good_check(g, stats, params)
     all_ok = e_all_check(g)
@@ -228,8 +233,6 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".9g")
     return str(value)
 
 

@@ -11,7 +11,7 @@ per odd vertex pair.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class AddedEdge:
     v: int
     phase: str
 
-    def pair(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
 
 @dataclass(frozen=True)
 class ExtensionResult:
@@ -72,7 +69,7 @@ class ExtensionResult:
         return counts
 
     def edge_pairs(self) -> list[tuple[int, int]]:
-        return [e.pair() for e in self.added_edges]
+        return [(e.u, e.v) for e in self.added_edges]
 
 
 @dataclass(frozen=True)
@@ -290,11 +287,11 @@ def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> Extens
 
 @dataclass(frozen=True)
 class VerificationReport:
-    ok: bool
-    violations: tuple[str, ...] = field(default_factory=tuple)
+    violations: tuple[str, ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def verify_extension(g: Graph, result: ExtensionResult) -> VerificationReport:
@@ -331,7 +328,7 @@ def verify_extension(g: Graph, result: ExtensionResult) -> VerificationReport:
         if g.has_edge(u, v):
             violations.append(f"edge {key} is already in the input graph")
     if violations:
-        return VerificationReport(False, tuple(violations))
+        return VerificationReport(tuple(violations))
 
     union = g.copy()
     for u, v in seen:
@@ -346,7 +343,7 @@ def verify_extension(g: Graph, result: ExtensionResult) -> VerificationReport:
             f"{len(result.added_edges)} edges added, above three per odd pair "
             f"(t={g.t_value()})"
         )
-    return VerificationReport(not violations, tuple(violations))
+    return VerificationReport(tuple(violations))
 
 
 def _verify_or_raise(g: Graph, result: ExtensionResult):

@@ -70,9 +70,6 @@ class EulerCircuit:
 
     vertices: tuple[int, ...]
 
-    def edge_count(self) -> int:
-        return max(len(self.vertices) - 1, 0)
-
 
 class Graph:
     """Mutable simple undirected graph; its degree list and odd-vertex

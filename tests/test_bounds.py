@@ -142,10 +142,10 @@ def test_e_good_exact_threshold():
     params = BoundParams(0.2, 0.1, 0.3, 1e-12)
     c10 = Graph.from_edge_list(10, [(i, (i + 1) % 10) for i in range(10)])
     chk = e_good_check(c10, stats, params)
-    assert chk.deg_ok and chk.edge_ok and chk.holds
+    assert chk.deg_ok and chk.edge_ok
     k10 = Graph.from_edge_list(10, [(u, v) for u in range(10) for v in range(u + 1, 10)])
     chk = e_good_check(k10, stats, params)
-    assert not chk.deg_ok and not chk.edge_ok and not chk.holds
+    assert not chk.deg_ok and not chk.edge_ok
 
 
 def test_e_good_mixed_outcome():
@@ -156,7 +156,6 @@ def test_e_good_mixed_outcome():
     chk = e_good_check(star, stats, params)
     assert not chk.deg_ok
     assert chk.edge_ok  # 11 edges vs cap 0.3 * 66 = 19.8
-    assert not chk.holds
 
 
 def test_e_good_boundary_is_inclusive():

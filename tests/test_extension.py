@@ -21,6 +21,7 @@ from eulerext import (
     phase_clique_reduction,
     phase_pairing,
     phase_three_paths,
+    VerificationReport,
     verify_extension,
 )
 
@@ -47,7 +48,7 @@ def graph(n, edges):
 
 
 def pairs(edges):
-    return [e.pair() for e in edges]
+    return [(e.u, e.v) for e in edges]
 
 
 # -- phase one: greedy pairing --
@@ -535,7 +536,7 @@ def test_verify_rejects_failed_result():
 def test_verify_flags_bad_edges():
     g = graph(3, [(0, 1), (1, 2)])
     rep = verify_extension(g, ok_result([(0, 3)]))
-    assert not rep and any("out of range" in v for v in rep.violations)
+    assert not rep.ok and any("out of range" in v for v in rep.violations)
     rep = verify_extension(g, ok_result([(1, 1)]))
     assert any("self-loop" in v for v in rep.violations)
     rep = verify_extension(g, ok_result([(0, 2), (2, 0)]))
@@ -547,7 +548,7 @@ def test_verify_flags_bad_edges():
     assert verify_extension(g, ok_result([(np.int64(0), np.int64(2))])).ok
     for bad in (True, np.True_, 2.0, "2"):
         rep = verify_extension(g, ok_result([(0, bad)]))
-        assert not rep and any("non-integer endpoint" in v for v in rep.violations)
+        assert not rep.ok and any("non-integer endpoint" in v for v in rep.violations)
 
 
 def test_verify_flags_parity_and_connectivity():
@@ -613,7 +614,17 @@ def test_verify_matches_reference(n, seed, data):
 def test_verify_accepts_honest_extension():
     g = graph(3, [(0, 1), (1, 2)])
     rep = verify_extension(g, ok_result([(0, 2)]))
-    assert rep.ok and rep.violations == () and bool(rep)
+    assert rep.ok and rep.violations == ()
+
+
+def test_report_is_ok_exactly_when_it_has_no_violation():
+    assert VerificationReport(()).ok
+    assert not VerificationReport(("extended graph is not connected",)).ok
+    g = graph(4, [(0, 1), (1, 2), (2, 3)])
+    for added in ([(0, 3)], [], [(0, 4)], [(1, 1)], [(0, 3), (3, 0)], [(0, 1)], [(0, 2), (1, 3)]):
+        rep = verify_extension(g, ok_result(added))
+        assert rep == VerificationReport(rep.violations)
+    assert verify_extension(g, ok_result([(0, 3)])).ok
 
 
 # -- result plumbing --
@@ -621,7 +632,7 @@ def test_verify_accepts_honest_extension():
 
 def test_result_helpers():
     e = AddedEdge(2, 5, PHASE_TWO_PATH)
-    assert e.pair() == (2, 5)
+    assert (e.u, e.v, e.phase) == (2, 5, PHASE_TWO_PATH)
     r = ExtensionResult(True, 2, (e, AddedEdge(0, 1, PHASE_PAIRING)))
     assert r.phase_counts() == {PHASE_PAIRING: 1, PHASE_TWO_PATH: 1, PHASE_THREE_PATH: 0}
     assert r.edge_pairs() == [(2, 5), (0, 1)]

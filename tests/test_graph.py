@@ -424,7 +424,7 @@ def test_triangle_circuit_exact():
     # lowest-numbered-neighbor rule makes the walk deterministic
     c = triangle().eulerian_circuit()
     assert c.vertices == (0, 1, 2, 0)
-    assert c.edge_count() == 3
+    assert len(c.vertices) - 1 == 3
 
 
 def test_c4_circuit_exact():
@@ -461,7 +461,7 @@ def test_circuit_ignores_isolated_vertices():
 def test_circuit_of_edgeless_graphs():
     assert Graph(0).eulerian_circuit().vertices == ()
     assert Graph(3).eulerian_circuit().vertices == (0,)
-    assert Graph(3).eulerian_circuit().edge_count() == 0
+    assert len(Graph(3).eulerian_circuit().vertices) - 1 == 0
 
 
 def test_circuit_determinism():
@@ -558,6 +558,6 @@ def test_edge_list_file_round_trip(tmp_path):
 
 def test_euler_circuit_value_type():
     c = EulerCircuit((0, 1, 2, 0))
-    assert c.edge_count() == 3
+    assert len(c.vertices) - 1 == 3
     with pytest.raises(Exception):
         c.vertices = ()

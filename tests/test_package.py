@@ -1,4 +1,5 @@
 import ast
+import inspect
 import re
 import subprocess
 import sys
@@ -72,6 +73,65 @@ def test_one_function_calls_the_verifier():
                     and "verify_extension" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
                 ]
     assert callers == [("extension.py", "_verify_or_raise")]
+
+
+def test_one_function_draws_a_trial():
+    # a trial and `eulerext sample` seed and sample through the shared draw
+    package = Path(eulerext.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers.update(
+                    (path.name, function.name)
+                    for call in ast.walk(function)
+                    if isinstance(call, ast.Call)
+                    and {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
+                    & {"sample_graph", "trial_seed"}
+                )
+    assert callers == {("experiment.py", "_draw_trial")}
+
+
+# public names that no library or benchmark code reads, each with the
+# reason it ships anyway
+UNREAD_PUBLIC_NAMES = {
+    "chernoff_tail": "the paper's tail bound, which acceptance criterion 5 checks",
+}
+
+
+def _public_members():
+    # every exported name, and every public method or property of an exported class
+    for name in eulerext.__all__:
+        yield name, name
+        obj = getattr(eulerext, name)
+        if inspect.isclass(obj):
+            for attr, value in vars(obj).items():
+                if not attr.startswith("_") and (
+                    inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod))
+                ):
+                    yield f"{name}.{attr}", attr
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    package = Path(eulerext.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "benchmarks"
+    bench_files = sorted(bench.glob("*.py"))
+    assert bench_files
+    read = set()
+    for path in sorted(package.glob("*.py")) + bench_files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif path.parent == bench and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                # a dotted layer name such as "graph.Graph.eulerian_circuit"
+                parts = node.value.split(".")
+                if len(parts) > 1 and all(part.isidentifier() for part in parts):
+                    read.update(parts)
+    unread = {member for member, attr in _public_members() if attr not in read}
+    assert unread == set(UNREAD_PUBLIC_NAMES)
 
 
 def test_only_graph_states_the_integer_and_vertex_rules():
