@@ -107,6 +107,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    if args.max_attempts is not None and args.seed is None:
+        raise ValueError("--max-attempts budgets the random probes, which need --seed")
     g = load_edge_list(args.graph)
     rng = None if args.seed is None else np.random.default_rng(args.seed)
     result = extend(g, rng=rng, max_random_attempts=args.max_attempts)
@@ -200,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="make a graph Eulerian by adding complement edges")
     p.add_argument("--graph", metavar="FILE", required=True, help="input edge-list file")
     p.add_argument("--seed", type=int, help="seed for random probing; omit for deterministic scan")
-    p.add_argument("--max-attempts", type=int, help="random probes per pair before scanning")
+    p.add_argument("--max-attempts", type=int, help="random probes per pair before scanning; needs --seed")
     p.add_argument("--out", metavar="FILE", required=True, help="extended graph (written on success)")
     p.set_defaults(func=_cmd_extend)
 

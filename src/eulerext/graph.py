@@ -164,10 +164,6 @@ class Graph:
         """Bitset of the odd-degree vertices."""
         return self._odd
 
-    def has_edge(self, u: int, v: int) -> bool:
-        u, v = self._check_vertex(u), self._check_vertex(v)
-        return (self._adj[u] >> v) & 1 == 1
-
     def degrees(self) -> list[int]:
         """Degree of every vertex, in vertex order, as a new list."""
         return self._deg.copy()

@@ -61,6 +61,11 @@ def bitset(vertices):
     return sum(1 << v for v in vertices)
 
 
+def has_edge(g, u, v):
+    """Whether u and v are adjacent in g, read from its edge list."""
+    return (min(u, v), max(u, v)) in g.edges()
+
+
 def common_non_neighbors_ref(n, edges, u, v):
     adj = adj_sets(n, edges)
     return {z for z in range(n) if z not in (u, v) and z not in adj[u] and z not in adj[v]}
@@ -142,7 +147,7 @@ def phase_pairing_ref(g):
         if u in matched:
             continue
         for v in odd[i + 1:]:
-            if v in matched or g.has_edge(u, v):
+            if v in matched or has_edge(g, u, v):
                 continue
             g.add_edge(u, v)
             added.append(AddedEdge(u, v, PHASE_PAIRING))
@@ -189,12 +194,12 @@ def phase_clique_reduction_ref(g, residual):
 def valid_three_path_ref(g, u, v, y, z):
     if y == z or y == u or y == v or z == u or z == v:
         return None
-    if g.has_edge(y, z):
+    if has_edge(g, y, z):
         return None
     mid = (min(y, z), max(y, z))
-    if not g.has_edge(u, y) and not g.has_edge(z, v):
+    if not has_edge(g, u, y) and not has_edge(g, z, v):
         return ((min(u, y), max(u, y)), mid, (min(z, v), max(z, v)))
-    if not g.has_edge(u, z) and not g.has_edge(y, v):
+    if not has_edge(g, u, z) and not has_edge(g, y, v):
         return ((min(u, z), max(u, z)), mid, (min(y, v), max(y, v)))
     return None
 

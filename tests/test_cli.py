@@ -131,9 +131,24 @@ def test_extend_verifies_before_it_writes(tmp_path, capsys, monkeypatch):
     out = tmp_path / "ext.edges"
     bad = ExtensionResult(True, 1, (AddedEdge(0, 1, "pairing"),))
     monkeypatch.setattr(eulerext.cli, "extend", lambda g, rng, max_random_attempts: bad)
-    with pytest.raises(RuntimeError, match="engine produced an invalid extension: .*already in the input"):
+    with pytest.raises(RuntimeError, match=r"invalid extension: edge \(0, 1\): .*already present"):
         main(["extend", "--graph", src, "--out", str(out)])
     assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("attempts", ["0", "5"])
+def test_extend_max_attempts_needs_a_seed(tmp_path, capsys, attempts):
+    # without --seed there are no random probes, so a budget for them is a
+    # config error rather than a silent no-op
+    src = write_graph(tmp_path, "c5c.edges", 5,
+                      [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4), (0, 4), (1, 4)])
+    out = tmp_path / "e.edges"
+    code = main(["extend", "--graph", src, "--max-attempts", attempts, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_CONFIG and captured.out == ""
+    assert captured.err.startswith("error:") and "--seed" in captured.err
+    assert "Traceback" not in captured.err
     assert not out.exists()
 
 

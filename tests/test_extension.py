@@ -30,6 +30,7 @@ from eulerext.extension import PROBE_BLOCK
 from conftest import (
     all_pairs,
     bitset,
+    has_edge,
     is_valid_extension_ref,
     odd_vertices_ref,
     phase_clique_reduction_ref,
@@ -59,7 +60,7 @@ def test_pairing_path():
     added, residual = phase_pairing(g)
     assert pairs(added) == [(0, 2)]
     assert residual == []
-    assert g.has_edge(0, 2)
+    assert has_edge(g, 0, 2)
     assert added[0].phase == PHASE_PAIRING
 
 
@@ -70,7 +71,7 @@ def test_pairing_star_leaves_adjacent_residual():
     added, residual = phase_pairing(g)
     assert pairs(added) == [(1, 2)]
     assert residual == [0, 3]
-    assert g.has_edge(0, 3)
+    assert has_edge(g, 0, 3)
 
 
 def test_pairing_even_graph_is_noop():
@@ -96,7 +97,7 @@ def test_pairing_residual_is_odd_clique(n, seed):
     assert g.odd_mask == bitset(residual)
     for i, u in enumerate(residual):
         for v in residual[i + 1:]:
-            assert g.has_edge(u, v)
+            assert has_edge(g, u, v)
     for e in added:
         assert e.phase == PHASE_PAIRING
 
@@ -536,19 +537,47 @@ def test_verify_rejects_failed_result():
 def test_verify_flags_bad_edges():
     g = graph(3, [(0, 1), (1, 2)])
     rep = verify_extension(g, ok_result([(0, 3)]))
-    assert not rep.ok and any("out of range" in v for v in rep.violations)
+    assert not rep.ok and any("range(" in v for v in rep.violations)
     rep = verify_extension(g, ok_result([(1, 1)]))
     assert any("self-loop" in v for v in rep.violations)
     rep = verify_extension(g, ok_result([(0, 2), (2, 0)]))
-    assert any("twice" in v for v in rep.violations)
+    assert any("already present" in v for v in rep.violations)
     rep = verify_extension(g, ok_result([(0, 1)]))
-    assert any("already in the input" in v for v in rep.violations)
+    assert any("already present" in v for v in rep.violations)
     # integer-like endpoints count as their value; bools, floats and text
     # are reported, never raised
     assert verify_extension(g, ok_result([(np.int64(0), np.int64(2))])).ok
     for bad in (True, np.True_, 2.0, "2"):
         rep = verify_extension(g, ok_result([(0, bad)]))
-        assert not rep.ok and any("non-integer endpoint" in v for v in rep.violations)
+        assert not rep.ok and any("range(" in v for v in rep.violations)
+
+
+# the added edges of each case, the bad one among them and a word of the
+# reason add_edge gives; (0, 2) is the only complement edge of 0-1-2
+BAD_EDGES = {
+    "out_of_range": ([(0, 3)], (0, 3), "range(3)"),
+    "negative": ([(-1, 2)], (-1, 2), "range(3)"),
+    "self_loop": ([(1, 1)], (1, 1), "self-loop"),
+    "reversed_repeat": ([(0, 2), (2, 0)], (2, 0), "already present"),
+    "input_edge": ([(1, 0)], (1, 0), "already present"),
+    "bool": ([(0, True)], (0, True), "range(3)"),
+    "numpy_bool": ([(np.True_, 2)], (np.True_, 2), "range(3)"),
+    "float": ([(0, 2.0)], (0, 2.0), "range(3)"),
+    "str": ([("0", 2)], ("0", 2), "range(3)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_EDGES)
+def test_verify_reports_one_violation_per_bad_edge(case):
+    added, bad, reason = BAD_EDGES[case]
+    g = graph(3, [(0, 1), (1, 2)])
+    before = g.copy()
+    rep = verify_extension(g, ok_result(added))
+    (violation,) = rep.violations
+    assert violation.startswith(f"edge ({bad[0]!r}, {bad[1]!r}): ") and reason in violation
+    assert g == before and g.degrees() == before.degrees() and g.odd_mask == before.odd_mask
+    # so g still takes its one valid extension, given as numpy integers
+    assert verify_extension(g, ok_result([(np.int64(0), np.int64(2))])).ok
 
 
 def test_verify_flags_parity_and_connectivity():

@@ -13,7 +13,7 @@ from eulerext import (
     min_extension_exact,
 )
 
-from conftest import is_valid_extension_ref, random_connected_edges, random_edges
+from conftest import has_edge, is_valid_extension_ref, random_connected_edges, random_edges
 
 
 def graph(n, edges):
@@ -119,7 +119,7 @@ def test_witnesses_are_valid_and_minimal_small():
         g = graph(n, random_edges(rnd, n, 0.5))
         t = g.t_value()
         ans = min_extension_exact(g)
-        comp = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+        comp = [(u, v) for u in range(n) for v in range(u + 1, n) if not has_edge(g, u, v)]
         if ans.extendable:
             assert t <= ans.min_edges <= 3 * t
             assert len(ans.witness) == ans.min_edges

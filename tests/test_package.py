@@ -75,6 +75,25 @@ def test_one_function_calls_the_verifier():
     assert callers == [("extension.py", "_verify_or_raise")]
 
 
+def test_only_graph_states_the_edge_rule():
+    # the verifier adds each edge through Graph.add_edge instead of
+    # restating which edges may be added
+    package = Path(eulerext.__file__).parent
+    owners = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if re.search(r"self-loop|already (present|in the input)|added twice", path.read_text(encoding="utf-8"))
+    )
+    assert owners == ["graph.py"]
+    tree = ast.parse(inspect.getsource(eulerext.extension.verify_extension))
+    called = {
+        getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+    }
+    assert "add_edge" in called and "_as_int" not in called
+
+
 def test_one_function_draws_a_trial():
     # a trial and `eulerext sample` seed and sample through the shared draw
     package = Path(eulerext.__file__).parent
@@ -159,7 +178,6 @@ INTEGER_SITES = {
     "from_edge_list.n": (GraphError, lambda x: Graph.from_edge_list(x, [(0, 1)]).non_neighbors_mask(0)),
     "from_edge_list.edge": (GraphError, lambda x: Graph.from_edge_list(5, [(x, 4)])),
     "add_edge": (GraphError, lambda x: path5().add_edge(x, 4)),
-    "has_edge": (GraphError, lambda x: path5().has_edge(x, 1)),
     "non_neighbors_mask": (GraphError, lambda x: path5().non_neighbors_mask(x)),
     "non_neighbor_matrix": (GraphError, lambda x: path5().non_neighbor_matrix([x, 0, x]).tolist()),
     "vertex_list": (GraphError, lambda x: path5().vertex_list([4, x])),
