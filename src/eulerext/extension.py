@@ -26,9 +26,6 @@ __all__ = [
     "AddedEdge",
     "ExtensionResult",
     "VerificationReport",
-    "phase_pairing",
-    "phase_clique_reduction",
-    "phase_three_paths",
     "extend",
     "verify_extension",
 ]
@@ -109,10 +106,9 @@ def phase_clique_reduction(g: Graph, residual: list[int]) -> tuple[list[AddedEdg
     the *input* residual set, with z the smallest such, and the edges
     (x, z) and (y, z) are added. A vertex's mask changes only when it is
     matched, so one read per vertex suffices. Mutates g; returns the added
-    edges and the unmatched vertices in residual order. Raises GraphError
-    for an invalid or repeated vertex in residual.
+    edges and the unmatched vertices in residual order. extend hands it
+    phase one's residual: distinct vertices, ascending.
     """
-    residual = g.vertex_list(residual)
     blocked = sum(1 << x for x in residual)
     masks = [g.non_neighbors_mask(x) & ~blocked for x in residual]
     matched = 0
@@ -136,32 +132,25 @@ def phase_clique_reduction(g: Graph, residual: list[int]) -> tuple[list[AddedEdg
 def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: int) -> ThreePathOutcome:
     """Resolve the leftover pairs with three-edge detours; mutates g.
 
-    Pairs the pending vertices consecutively in ascending order. For each
-    pair (u, v) it probes uniformly random (y, z) up to the attempt budget
-    looking for a detour u-y-z-v (either orientation) made of three absent
-    edges, then falls back to a full lexicographic scan. Only a pair with
-    no detour at all stops the phase.
-
-    rng is None (no probes) or a numpy Generator. Probes are drawn in
-    blocks, but the generator ends where one scalar rng.integers(n) per
-    probe coordinate, y then z, would leave it: after 2 * attempts draws.
-    Raises GraphError for an invalid or repeated vertex in clique, or for
-    an odd number of them, and ValueError for an rng of another type or a
-    budget that is not an int >= 0, all before any probe or edge.
+    Pairs the pending vertices, which extend hands over distinct and of
+    even count, consecutively in ascending order. For each pair (u, v) it
+    probes uniformly random (y, z) up to the attempt budget looking for a
+    detour u-y-z-v (either orientation) made of three absent edges, then
+    falls back to a full lexicographic scan. Only a pair with no detour at
+    all stops the phase. extend checks that rng is None (no probes) or a
+    numpy Generator and that the budget is an int >= 0. The generator ends
+    after 2 * attempts draws, where one scalar rng.integers(n) per probe
+    coordinate, y then z, would leave it.
     """
-    pend = sorted(g.vertex_list(clique))
-    if len(pend) % 2:
-        raise GraphError(f"{len(pend)} vertices cannot be paired")
-    _check_rng(rng)
-    budget = _as_int(max_attempts_per_pair, ValueError, "max_attempts_per_pair must be an int >= 0")
+    pend = sorted(clique)
     added: list[AddedEdge] = []
     attempts = 0
     for u, v in zip(pend[::2], pend[1::2]):
         ends = (1 << u) | (1 << v)
         nu, nv = g.non_neighbors_mask(u) & ~ends, g.non_neighbors_mask(v) & ~ends
         triple = None
-        if rng is not None and budget:
-            triple, used = _probe_three_path(g, u, v, nu, nv, rng, budget)
+        if rng is not None and max_attempts_per_pair:
+            triple, used = _probe_three_path(g, u, v, nu, nv, rng, max_attempts_per_pair)
             attempts += used
         if triple is None:
             triple = _scan_three_path(g, u, v, nu, nv)
@@ -171,11 +160,6 @@ def phase_three_paths(g: Graph, clique: list[int], rng, max_attempts_per_pair: i
             g.add_edge(lo, hi)
             added.append(AddedEdge(lo, hi, PHASE_THREE_PATH))
     return ThreePathOutcome(tuple(added), attempts, failing_pair=None)
-
-
-def _check_rng(rng):
-    if rng is not None and not isinstance(rng, np.random.Generator):
-        raise ValueError(f"rng must be None or a numpy Generator, got {type(rng).__name__}")
 
 
 def _probe_three_path(g: Graph, u: int, v: int, nu: int, nv: int, rng, budget: int):
@@ -243,9 +227,8 @@ def _scan_three_path(g: Graph, u: int, v: int, nu: int, nv: int):
 def _probe_budget(max_random_attempts) -> int | None:
     """extend's per-pair probe budget: None (the default) or an int >= 0;
     ValueError otherwise."""
-    if max_random_attempts is None:
-        return None
-    return _as_int(max_random_attempts, ValueError, "max_random_attempts must be None or >= 0")
+    if max_random_attempts is not None:
+        return _as_int(max_random_attempts, ValueError, "max_random_attempts must be None or >= 0")
 
 
 def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> ExtensionResult:
@@ -262,7 +245,8 @@ def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> Extens
     probe coordinate would leave it. Another rng type or a budget that is
     not None or an int >= 0 raises ValueError before any work.
     """
-    _check_rng(rng)
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be None or a numpy Generator, got {type(rng).__name__}")
     max_random_attempts = _probe_budget(max_random_attempts)
     if not g.is_connected():
         return ExtensionResult(False, g.t_value(), (), failure_reason=FAIL_DISCONNECTED)
@@ -273,6 +257,7 @@ def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> Extens
         # t > 0 needs two odd vertices, so n >= 2 and the log is positive
         max_random_attempts = 64 * math.ceil(math.log(g.n))
     work = g.copy()
+    # the phases are called through module globals, which benchmarks/tracing.py rebinds to time them
     added, residual = phase_pairing(work)
     two_path, pending = phase_clique_reduction(work, residual)
     added.extend(two_path)

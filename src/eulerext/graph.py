@@ -145,14 +145,6 @@ class Graph:
         packed = np.frombuffer(rows, dtype=np.uint8).reshape(len(vertices), width)
         return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(np.bool_)
 
-    def vertex_list(self, vertices) -> list[int]:
-        """The given vertices as Python ints, in order; GraphError for an
-        invalid or repeated one."""
-        checked = list(map(self._check_vertex, vertices))
-        if len(set(checked)) < len(checked):
-            raise GraphError(f"a vertex is listed twice in {checked}")
-        return checked
-
     # -- basic queries ---------------------------------------------------
 
     @property

@@ -362,7 +362,10 @@ def parse_model_spec(text: str, base_dir=".") -> EdgeProbabilityModel:
         key, sep, value = line.partition(":")
         if not sep:
             raise ModelError(f"malformed model spec line: {line!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ModelError(f"model spec states {key!r} twice")
+        fields[key] = value.strip()
     return build_model(fields, base_dir)
 
 

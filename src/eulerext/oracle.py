@@ -22,11 +22,14 @@ class OracleSizeError(GraphError):
 
 @dataclass(frozen=True)
 class OracleAnswer:
-    """extendable=False means no extension exists within the edge cap."""
+    """min_edges=None means no extension exists within the edge cap."""
 
-    extendable: bool
     min_edges: int | None
     witness: tuple[tuple[int, int], ...] | None
+
+    @property
+    def extendable(self) -> bool:
+        return self.min_edges is not None
 
 
 def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
@@ -64,5 +67,5 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
             for i in chosen:
                 trial.add_edge(*comp[i])
             if trial.is_connected():
-                return OracleAnswer(True, k, tuple(comp[i] for i in chosen))
-    return OracleAnswer(False, None, None)
+                return OracleAnswer(k, tuple(comp[i] for i in chosen))
+    return OracleAnswer(None, None)

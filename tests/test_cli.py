@@ -564,6 +564,17 @@ def test_bad_spec_file_is_config_error(tmp_path, capsys):
     assert code == EXIT_BAD_CONFIG
 
 
+def test_spec_file_with_a_repeated_key_is_config_error(tmp_path, capsys):
+    spec = tmp_path / "twice.model"
+    spec.write_text("type: homogeneous\nn: 10\np: 0.3\np: 0.9\n")
+    out = tmp_path / "g.edges"
+    code = main(["sample", "--model", str(spec), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_CONFIG and captured.out == ""
+    assert captured.err == "error: model spec states 'p' twice\n"
+    assert not out.exists()
+
+
 def test_nan_matrix_entry_is_a_range_error(tmp_path, capsys):
     (tmp_path / "m.tri").write_text("0.5\nnan 0.25\n")
     spec = tmp_path / "model.spec"

@@ -15,17 +15,13 @@ from eulerext import (
     AddedEdge,
     ExtensionResult,
     Graph,
-    GraphError,
     extend,
     extension,
-    phase_clique_reduction,
-    phase_pairing,
-    phase_three_paths,
     VerificationReport,
     verify_extension,
 )
 
-from eulerext.extension import PROBE_BLOCK
+from eulerext.extension import PROBE_BLOCK, phase_clique_reduction, phase_pairing, phase_three_paths
 
 from conftest import (
     all_pairs,
@@ -260,43 +256,11 @@ NOT_GENERATORS = [np.random.RandomState(0), np.random.PCG64(0), random.Random(0)
 
 @pytest.mark.parametrize("rng", NOT_GENERATORS, ids=lambda r: type(r).__name__)
 def test_rng_must_be_none_or_a_generator(rng):
-    # checked on entry, before any edge, whatever the graph and the budget
-    message = "rng must be None or a numpy Generator"
-    g = Graph(5)
-    for budget in (0, 5):
-        with pytest.raises(ValueError, match=message):
-            phase_three_paths(g, [0, 1], rng, budget)
-    assert g == Graph(5)
-    # disconnected, already Eulerian, and K_4, whose pairs reach phase three
+    # checked on entry, before any edge: disconnected, already Eulerian,
+    # and K_4, whose pairs reach phase three
     for h in (graph(5, [(0, 1), (1, 2)]), graph(3, [(0, 1), (1, 2), (0, 2)]), graph(4, all_pairs(4))):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="rng must be None or a numpy Generator"):
             extend(h, rng=rng)
-
-
-def test_three_path_odd_pending_rejected():
-    with pytest.raises(GraphError):
-        phase_three_paths(Graph(5), [0, 1, 2], None, 0)
-
-
-BAD_VERTEX_LISTS = [[0, 1.0], [0, 0], [-1, 0], [0, 5], [True, 0], [0, 1, 2, 1]]
-
-
-# an odd count is bad only for phase three, which pairs the vertices up
-@pytest.mark.parametrize("vertices", BAD_VERTEX_LISTS + [[0, 1, 2]], ids=repr)
-def test_three_path_rejects_bad_vertices_before_any_probe(vertices):
-    g, rng = Graph(5), np.random.default_rng(0)
-    with pytest.raises(GraphError):
-        phase_three_paths(g, vertices, rng, 5)
-    assert g == Graph(5) and g.m == 0
-    assert rng.random() == np.random.default_rng(0).random()
-
-
-@pytest.mark.parametrize("vertices", BAD_VERTEX_LISTS, ids=repr)
-def test_clique_reduction_rejects_bad_vertices(vertices):
-    g = Graph(5)
-    with pytest.raises(GraphError):
-        phase_clique_reduction(g, vertices)
-    assert g == Graph(5) and g.m == 0
 
 
 # -- extend: full engine --
@@ -504,6 +468,37 @@ def test_phases_match_references(g, use_rng, budget, seed):
     assert run(phase_pairing, phase_clique_reduction, phase_three_paths) == run(
         phase_pairing_ref, phase_clique_reduction_ref, phase_three_paths_ref
     )
+
+
+@given(dense_graphs, st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+@settings(max_examples=200, deadline=None)
+def test_extend_hands_the_phases_what_they_assume(g, seed):
+    # phases two and three check none of their inputs: extend's vertex
+    # lists are distinct Python ints in range(n), ascending, and phase
+    # three's has even length, its rng and budget already checked
+    seen = {}
+
+    def spy(phase):
+        def call(work, vertices, *rest):
+            seen[phase.__name__] = (list(vertices), rest)
+            return phase(work, vertices, *rest)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for phase in (phase_clique_reduction, phase_three_paths):
+            mp.setattr(extension, phase.__name__, spy(phase))
+        result = extend(g, None if seed is None else np.random.default_rng(seed))
+    for vertices, _ in seen.values():
+        assert all(type(x) is int and 0 <= x < g.n for x in vertices)
+        assert vertices == sorted(set(vertices))
+    if result.t_input and result.failure_reason != FAIL_DISCONNECTED:
+        assert "phase_clique_reduction" in seen
+    if "phase_three_paths" in seen:
+        pending, (rng, budget) = seen["phase_three_paths"]
+        assert pending and len(pending) % 2 == 0
+        assert set(pending) <= set(seen["phase_clique_reduction"][0])
+        assert (rng is None) == (seed is None) and type(budget) is int and budget > 0
 
 
 @given(dense_graphs, st.data(), probe_budgets(6), st.integers(0, 2**32 - 1))

@@ -499,6 +499,21 @@ def test_parse_spec_errors():
         parse_model_spec("type: matrix\nn: 3\nmatrix_file:\n")  # empty, not the spec's directory
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "type: homogeneous\nn: 10\np: 0.3\np: 0.9\n",
+        "type: homogeneous\ntype: example_family\nn: 20\na: 0.4\nb: 0.2\np: 0.3\n",
+        "type: homogeneous\nn: 10\np: 0.3\n n :10\n",
+    ],
+    ids=["value", "type", "same-value"],
+)
+def test_parse_spec_rejects_a_repeated_key(text):
+    # the last value used to win silently, even for the model's type
+    with pytest.raises(ModelError, match="twice"):
+        parse_model_spec(text)
+
+
 def test_matrix_spec_resolves_relative_to_spec_file(tmp_path):
     (tmp_path / "m.tri").write_text("0.5\n0.25 0.75\n")
     spec = tmp_path / "model.spec"

@@ -35,7 +35,7 @@ def test_cap_validation():
 
 def test_eulerian_input_needs_nothing():
     ans = min_extension_exact(graph(3, [(0, 1), (1, 2), (0, 2)]))
-    assert ans == OracleAnswer(True, 0, ())
+    assert ans == OracleAnswer(0, ())
 
 
 def test_path_needs_one_edge():
@@ -51,7 +51,7 @@ def test_star_has_no_extension():
     # vertex 0 is adjacent to everything, so no complement edge can fix
     # its parity
     ans = min_extension_exact(graph(4, [(0, 1), (0, 2), (0, 3)]))
-    assert ans == OracleAnswer(False, None, None)
+    assert ans == OracleAnswer(None, None)
 
 
 def test_triangle_with_pendant_has_no_extension():
@@ -158,6 +158,13 @@ def test_engine_success_implies_oracle_within_budget():
 
 
 def test_oracle_answer_frozen():
-    ans = OracleAnswer(True, 0, ())
-    with pytest.raises(Exception):
-        ans.extendable = False
+    ans = OracleAnswer(0, ())
+    for field in ("min_edges", "extendable"):
+        with pytest.raises(AttributeError):
+            setattr(ans, field, None)
+
+
+def test_oracle_answer_extendable_reads_min_edges():
+    # one stored fact: an answer cannot claim an extension without its size
+    assert OracleAnswer(0, ()).extendable and OracleAnswer(3, ((0, 1),)).extendable
+    assert not OracleAnswer(None, None).extendable
