@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import DEFAULT_BETA, DEFAULT_GAMMA, default_params, step_success_bound
 from .experiment import _draw_trial, run_trials, write_records
-from .extension import PHASE_PAIRING, PHASE_THREE_PATH, PHASE_TWO_PATH, _verify_or_raise, extend
+from .extension import _verify_or_raise, extend
 from .graph import load_edge_list, save_edge_list
 from .models import MODEL_KINDS, ModelError, alpha_stats, build_model, check_condition, load_model_spec
 from .oracle import min_extension_exact
@@ -29,6 +29,14 @@ EXIT_BAD_CONFIG = 2
 EXIT_IO = 3
 
 
+class _StoreOnce(argparse.Action):
+    # notes a spec-key flag given twice, which _build_model rejects as a spec file's repeated key
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            namespace.repeated_flag = self.option_strings[0]
+        setattr(namespace, self.dest, values)
+
+
 def _add_model_arguments(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("model (spec file or inline flags)")
     group.add_argument(
@@ -38,22 +46,28 @@ def _add_model_arguments(parser: argparse.ArgumentParser):
     )
     group.add_argument(
         "--model-type",
+        action=_StoreOnce,
         choices=tuple(MODEL_KINDS),
         help="inline model kind; needs --n plus its parameters",
     )
     group.add_argument(
         "--n",
+        action=_StoreOnce,
         type=int,
         help="vertex count for inline models; bounds with --model FILE re-evaluates that model at this n",
     )
     for kind, (_, keys) in MODEL_KINDS.items():
         for key, what in keys.items():
-            group.add_argument("--" + key.replace("_", "-"), help=f"{what} ({kind})")
+            group.add_argument("--" + key.replace("_", "-"), action=_StoreOnce, help=f"{what} ({kind})")
+    parser.set_defaults(repeated_flag=None)
 
 
 def _build_model(args, spec_takes_n=False):
-    """The model of --model FILE or of the inline flags; inline flags next
-    to --model are a config error, except --n where spec_takes_n."""
+    """The model of --model FILE or of the inline flags; a spec-key flag
+    given twice, or inline flags next to --model, are config errors, except
+    --n next to --model where spec_takes_n."""
+    if args.repeated_flag is not None:
+        raise ModelError(f"{args.repeated_flag} given twice")
     if args.model is not None:
         inline = ["model_type"] + ([] if spec_takes_n else ["n"])
         inline += [key for _, keys in MODEL_KINDS.values() for key in keys]
@@ -85,7 +99,7 @@ def _print_json(obj):
     print(json.dumps(_jsonable(obj), indent=2, allow_nan=False))
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args):
     model = _build_model(args)
     seed, _, g = _draw_trial(model, args.seed, args.trial_index)
     if args.out is not None:
@@ -103,58 +117,49 @@ def _cmd_sample(args) -> int:
             "out": args.out,
         }
     )
-    return EXIT_OK
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args):
     if args.max_attempts is not None and args.seed is None:
         raise ValueError("--max-attempts budgets the random probes, which need --seed")
     g = load_edge_list(args.graph)
     rng = None if args.seed is None else np.random.default_rng(args.seed)
     result = extend(g, rng=rng, max_random_attempts=args.max_attempts)
     _verify_or_raise(g, result)
-    written = False
     if result.success:
         extended = g.copy()
         for edge in result.added_edges:
             extended.add_edge(edge.u, edge.v)
         save_edge_list(extended, args.out)
-        written = True
-    counts = result.phase_counts()
     _print_json(
         {
             "success": result.success,
             "t_input": result.t_input,
-            "edges_added": len(result.added_edges),
-            "pairing_edges": counts[PHASE_PAIRING],
-            "two_path_edges": counts[PHASE_TWO_PATH],
-            "three_path_edges": counts[PHASE_THREE_PATH],
+            **result.count_fields(),
             "attempts_phase3": result.attempts_phase3,
             "failure_reason": result.failure_reason,
-            "failing_pair": list(result.failing_pair) if result.failing_pair else None,
+            "failing_pair": result.failing_pair,
             "added": [[e.u, e.v, e.phase] for e in result.added_edges],
-            "out": args.out if written else None,
+            "out": args.out if result.success else None,
         }
     )
-    return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     g = load_edge_list(args.graph)
     answer = min_extension_exact(g, cap=args.cap)
     _print_json(
         {
             "extendable": answer.extendable,
             "min_edges": answer.min_edges,
-            "witness": [list(e) for e in answer.witness] if answer.witness is not None else None,
+            "witness": answer.witness,
             "t_value": g.t_value(),
-            "cap": args.cap if args.cap is not None else 3 * g.t_value(),
+            "cap": answer.cap,
         }
     )
-    return EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     model = _build_model(args, spec_takes_n=True)
     stats = alpha_stats(model)
     # with inline flags --n already is the model size; with a spec file it
@@ -174,15 +179,13 @@ def _cmd_bounds(args) -> int:
             "step_bound": asdict(step),
         }
     )
-    return EXIT_OK
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args):
     model = _build_model(args)
     records, summary = run_trials(model, args.trials, args.seed, args.beta, args.gamma, args.max_attempts)
     write_records(records, args.out, args.format)
     _print_json({"out": args.out, "format": args.format, "summary": asdict(summary)})
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -247,6 +250,7 @@ def main(argv=None) -> int:
         # an input too large to allocate, such as a huge vertex count
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

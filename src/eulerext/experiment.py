@@ -18,10 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import DEFAULT_BETA, DEFAULT_GAMMA, default_params, e_all_check, e_good_check
-from .extension import (
-    FAIL_DISCONNECTED, PHASE_PAIRING, PHASE_THREE_PATH, PHASE_TWO_PATH, _probe_budget, _verify_or_raise,
-    extend,
-)
+from .extension import FAIL_DISCONNECTED, _probe_budget, _verify_or_raise, extend
 from .graph import _as_int
 from .models import EdgeProbabilityModel, alpha_stats, sample_graph
 from .oracle import ORACLE_MAX_VERTICES, min_extension_exact
@@ -124,7 +121,6 @@ def run_single_trial(
         answer = min_extension_exact(g)
         oracle_min = answer.min_edges
 
-    counts = result.phase_counts()
     return TrialRecord(
         trial_index=trial_index,
         seed=seed,
@@ -138,10 +134,7 @@ def run_single_trial(
         e_all=all_ok,
         engine_success=result.success,
         failure_reason=result.failure_reason,
-        edges_added=len(result.added_edges),
-        pairing_edges=counts[PHASE_PAIRING],
-        two_path_edges=counts[PHASE_TWO_PATH],
-        three_path_edges=counts[PHASE_THREE_PATH],
+        **result.count_fields(),
         # a success has passed the verifier, which rejects more than 3t added edges
         within_3t=result.success,
         oracle_min=oracle_min,

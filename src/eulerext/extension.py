@@ -65,6 +65,12 @@ class ExtensionResult:
             counts[edge.phase] += 1
         return counts
 
+    def count_fields(self) -> dict[str, int]:
+        """edges_added and one <phase>_edges count per phase, as a trial
+        record and `eulerext extend` report them."""
+        phases = {f"{phase}_edges": k for phase, k in self.phase_counts().items()}
+        return {"edges_added": len(self.added_edges), **phases}
+
     def edge_pairs(self) -> list[tuple[int, int]]:
         return [(e.u, e.v) for e in self.added_edges]
 

@@ -42,6 +42,10 @@ class ModelError(ValueError):
     """Invalid model parameters or model spec input."""
 
 
+def _vertex_count(n) -> int:
+    return _as_int(n, ModelError, "a model needs an int vertex count of at least 2", 2)
+
+
 class EdgeProbabilityModel:
     """Base class: a symmetric pair-probability assignment on n vertices.
 
@@ -49,7 +53,7 @@ class EdgeProbabilityModel:
     """
 
     def __init__(self, n: int):
-        self.n = _as_int(n, ModelError, "a model needs an int vertex count of at least 2", 2)
+        self.n = _vertex_count(n)
         self._pair_probs = None
         self._alpha = None
 
@@ -395,8 +399,10 @@ def read_lower_triangular(path, n: int) -> np.ndarray:
     """Read a symmetric matrix given as n-1 whitespace-separated rows.
 
     Row i (1-based) lists the i entries p(i,0) .. p(i,i-1); the diagonal
-    is zero. OS-level read failures propagate as OSError.
+    is zero. n must be a model's vertex count, checked before the file is
+    opened; OS-level read failures propagate as OSError.
     """
+    n = _vertex_count(n)
     text = Path(path).read_text(encoding="utf-8")
     rows = [line.split() for line in _data_lines(text)]
     if len(rows) != n - 1:

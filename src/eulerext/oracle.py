@@ -6,7 +6,7 @@ the graph connected with all degrees even. Exponential, so its use is
 capped at a small vertex count.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .graph import Graph, GraphError, _as_int
@@ -22,10 +22,12 @@ class OracleSizeError(GraphError):
 
 @dataclass(frozen=True)
 class OracleAnswer:
-    """min_edges=None means no extension exists within the edge cap."""
+    """min_edges=None means no extension exists within cap, the largest
+    size searched; cap is the question, so answers compare without it."""
 
     min_edges: int | None
     witness: tuple[tuple[int, int], ...] | None
+    cap: int | None = field(default=None, compare=False)
 
     @property
     def extendable(self) -> bool:
@@ -67,5 +69,5 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
             for i in chosen:
                 trial.add_edge(*comp[i])
             if trial.is_connected():
-                return OracleAnswer(k, tuple(comp[i] for i in chosen))
-    return OracleAnswer(None, None)
+                return OracleAnswer(k, tuple(comp[i] for i in chosen), cap)
+    return OracleAnswer(None, None, cap)

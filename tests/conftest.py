@@ -110,6 +110,40 @@ def random_connected_edges(rnd, n, p=0.5):
             return edges
 
 
+def components_ref(n, edges):
+    """The vertex sets of the connected components, by depth-first search."""
+    adj = adj_sets(n, edges)
+    seen, components = set(), []
+    for start in range(n):
+        if start not in seen:
+            component, stack = {start}, [start]
+            while stack:
+                for w in adj[stack.pop()] - component:
+                    component.add(w)
+                    stack.append(w)
+            seen |= component
+            components.append(component)
+    return components
+
+
+def odd_complement_matching_ref(n, edges):
+    """nu: the size of a maximum matching of the complement restricted to
+    the odd vertices, by trying every partner of the lowest free vertex."""
+    adj = adj_sets(n, edges)
+
+    def best(free):
+        if len(free) < 2:
+            return 0
+        u, rest = free[0], free[1:]
+        size = best(rest)
+        for v in rest:
+            if v not in adj[u]:
+                size = max(size, 1 + best([w for w in rest if w != v]))
+        return size
+
+    return best(sorted(odd_vertices_ref(n, edges)))
+
+
 def is_valid_extension_ref(n, edges, added):
     """Reference check: added edges absent, union connected and all-even."""
     base = {(min(a, b), max(a, b)) for a, b in edges}

@@ -575,6 +575,44 @@ def test_spec_file_with_a_repeated_key_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sample", "--model-type", "homogeneous", "--n", "10", "--p", "0.3", "--p", "0.9", "--seed", "1"], "--p"),
+        (["sample", "--model-type", "homogeneous", "--n", "10", "--n", "12", "--p", "0.3"], "--n"),
+        (["sample", "--model-type", "homogeneous", "--model-type", "homogeneous", "--n", "10", "--p", "0.3"],
+         "--model-type"),
+        (["bounds", "--model-type", "homogeneous", "--n", "10", "--p", "0.3", "--p", "0.3"], "--p"),
+        (["bounds", "--model", "{spec}", "--n", "100", "--n", "200"], "--n"),
+        (["experiment", "--model-type", "example_family", "--n", "20", "--a", "0.4", "--a", "0.5", "--b", "0.2",
+          "--trials", "1"], "--a"),
+    ],
+    ids=["sample-p", "sample-n", "sample-type", "bounds-p", "bounds-spec-n", "experiment-a"],
+)
+def test_repeated_inline_model_flag_is_config_error(tmp_path, capsys, argv, flag):
+    # a spec-key flag may be given once, as a spec file may state its key once
+    spec = tmp_path / "family.model"
+    spec.write_text("type: example_family\nn: 300\na: 0.4\nb: 0.2\n")
+    out = tmp_path / "out.file"
+    argv = [a.format(spec=spec) for a in argv]
+    if argv[0] != "bounds":
+        argv += ["--out", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_BAD_CONFIG and captured.out == ""
+    assert captured.err == f"error: {flag} given twice\n"
+    assert not out.exists()
+
+
+def test_matrix_n_is_checked_before_the_file_is_opened(tmp_path, capsys):
+    # a missing matrix file is an I/O error only for a size the model could have
+    for n in ("-5", "1"):
+        code = main(["sample", "--model-type", "matrix", "--n", n, "--matrix-file", str(tmp_path / "no.tri")])
+        captured = capsys.readouterr()
+        assert code == EXIT_BAD_CONFIG and captured.out == ""
+        assert captured.err == f"error: a model needs an int vertex count of at least 2, got {n}\n"
+
+
 def test_nan_matrix_entry_is_a_range_error(tmp_path, capsys):
     (tmp_path / "m.tri").write_text("0.5\nnan 0.25\n")
     spec = tmp_path / "model.spec"

@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerext import (
@@ -26,6 +26,7 @@ from eulerext.extension import PROBE_BLOCK, phase_clique_reduction, phase_pairin
 from conftest import (
     all_pairs,
     bitset,
+    common_non_neighbors_ref,
     has_edge,
     is_valid_extension_ref,
     odd_vertices_ref,
@@ -398,6 +399,23 @@ def test_extend_invariants_random(n, seed, use_rng):
         assert r.failing_pair is not None
 
 
+@given(st.integers(2, 7), st.floats(0.2, 1.0), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_two_edge_detours_finish_when_adjacent_odd_pairs_share_a_non_neighbour(n, p, seed, rng_seed):
+    # the paper's deterministic step (E_all implies the condition): phase
+    # one leaves a clique of odd vertices, none of which is a common
+    # non-neighbour of two others, so phase two takes each next pair
+    edges = random_connected_edges(random.Random(seed), n, p)
+    odd = odd_vertices_ref(n, edges)
+    assume(all(common_non_neighbors_ref(n, edges, u, v) for u, v in edges if u in odd and v in odd))
+    g = graph(n, edges)
+    for rng in (None, np.random.default_rng(rng_seed)):
+        r = extend(g, rng=rng)
+        counts = r.phase_counts()
+        assert r.success and counts[PHASE_THREE_PATH] == 0
+        assert len(r.added_edges) == 2 * g.t_value() - counts[PHASE_PAIRING]
+
+
 # -- word-parallel kernels against the pair-at-a-time loops they replaced --
 
 # densities up to 0.95 leave odd cliques behind, so phases two and three
@@ -659,6 +677,10 @@ def test_result_helpers():
     assert (e.u, e.v, e.phase) == (2, 5, PHASE_TWO_PATH)
     r = ExtensionResult(True, 2, (e, AddedEdge(0, 1, PHASE_PAIRING)))
     assert r.phase_counts() == {PHASE_PAIRING: 1, PHASE_TWO_PATH: 1, PHASE_THREE_PATH: 0}
+    # the count fields of a trial record and of `eulerext extend`, in their order
+    assert list(r.count_fields().items()) == [
+        ("edges_added", 2), ("pairing_edges", 1), ("two_path_edges", 1), ("three_path_edges", 0)
+    ]
     assert r.edge_pairs() == [(2, 5), (0, 1)]
     with pytest.raises(Exception):
         e.u = 3

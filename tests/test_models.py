@@ -525,6 +525,26 @@ def test_matrix_spec_resolves_relative_to_spec_file(tmp_path):
     assert m.probability_row(1)[2] == 0.75
 
 
+@pytest.mark.parametrize(
+    "n, matrix_file",
+    [("-5", "m.tri"), ("1", "absent.tri")],
+    ids=["negative-n-with-a-file", "n-1-with-no-file"],
+)
+def test_matrix_spec_checks_n_before_it_opens_the_file(tmp_path, n, matrix_file):
+    # the vertex-count rule of every model, not a row count of -6 or an I/O error
+    (tmp_path / "m.tri").write_text("0.5\n0.25 0.75\n")
+    spec = tmp_path / "model.spec"
+    spec.write_text(f"type: matrix\nn: {n}\nmatrix_file: {matrix_file}\n")
+    with pytest.raises(ModelError) as excinfo:
+        load_model_spec(spec)
+    assert str(excinfo.value) == f"a model needs an int vertex count of at least 2, got {n}"
+    with pytest.raises(ModelError) as direct:
+        read_lower_triangular(tmp_path / matrix_file, int(n))
+    with pytest.raises(ModelError) as model:
+        HomogeneousModel(int(n), 0.5)
+    assert str(direct.value) == str(model.value) == str(excinfo.value)
+
+
 def test_read_lower_triangular_golden(tmp_path):
     p = tmp_path / "t.tri"
     p.write_text("# comment\n0.5\n\n0.25 0.75\n")

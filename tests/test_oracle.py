@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eulerext import (
     ORACLE_MAX_VERTICES,
@@ -13,7 +15,15 @@ from eulerext import (
     min_extension_exact,
 )
 
-from conftest import has_edge, is_valid_extension_ref, random_connected_edges, random_edges
+from conftest import (
+    components_ref,
+    has_edge,
+    is_valid_extension_ref,
+    odd_complement_matching_ref,
+    odd_vertices_ref,
+    random_connected_edges,
+    random_edges,
+)
 
 
 def graph(n, edges):
@@ -155,6 +165,69 @@ def test_engine_success_implies_oracle_within_budget():
             # 3t the failure was forced
             pass
     assert agree_success > 100  # the sweep must actually exercise successes
+
+
+# -- the paper's lower bounds on ee(G), which no oracle answer may beat --
+
+small_graphs = st.builds(
+    lambda n, p, seed: (n, random_edges(random.Random(seed), n, p)),
+    st.integers(2, 7),
+    st.floats(0.0, 0.9),
+    st.integers(0, 10**6),
+)
+connected_graphs = st.builds(
+    lambda n, p, seed: (n, random_connected_edges(random.Random(seed), n, p)),
+    st.integers(2, 7),
+    st.floats(0.2, 1.0),
+    st.integers(0, 10**6),
+)
+
+
+@given(small_graphs)
+@settings(max_examples=100, deadline=None)
+def test_oracle_needs_t_plus_even_components_on_a_disconnected_graph(graph_edges):
+    # H has an even number of edges leaving each component C of G, so at
+    # least two, and C holds at least max(odd(C), 2) ends of H: ee >= t + c0
+    n, edges = graph_edges
+    components = components_ref(n, edges)
+    assume(len(components) >= 2)
+    odd = odd_vertices_ref(n, edges)
+    bound = len(odd) // 2 + sum(1 for c in components if not c & odd)
+    # every size below the bound is searched in full and none works
+    assert min_extension_exact(graph(n, edges), cap=bound - 1).min_edges is None
+
+
+@given(connected_graphs)
+@settings(max_examples=100, deadline=None)
+def test_oracle_needs_2t_minus_nu_on_a_connected_graph(graph_edges):
+    # H splits into t trails pairing the odd vertices, and its one-edge
+    # trails form a complement matching on them: ee >= 2t - nu
+    n, edges = graph_edges
+    bound = len(odd_vertices_ref(n, edges)) - odd_complement_matching_ref(n, edges)
+    assume(bound > 0)
+    assert min_extension_exact(graph(n, edges), cap=bound - 1).min_edges is None
+
+
+@given(connected_graphs, st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+@settings(max_examples=100, deadline=None)
+def test_engine_never_beats_the_oracle(graph_edges, rng_seed):
+    n, edges = graph_edges
+    g = graph(n, edges)
+    rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+    result = extend(g, rng=rng)
+    answer = min_extension_exact(g)
+    if result.success:
+        # the oracle searches up to 3t, the engine's guarantee
+        assert answer.extendable and answer.min_edges <= len(result.added_edges) <= answer.cap
+
+
+def test_answer_carries_the_cap_it_searched():
+    g = graph(4, [(0, 1), (1, 2)])  # t = 1 with an isolated vertex
+    assert min_extension_exact(g).cap == 3
+    assert min_extension_exact(g, cap=1) == OracleAnswer(None, None)
+    assert min_extension_exact(g, cap=1).cap == 1
+    # the cap is the question, so answers to different caps compare equal
+    assert min_extension_exact(g, cap=2) == min_extension_exact(g) == OracleAnswer(2, ((0, 3), (2, 3)))
 
 
 def test_oracle_answer_frozen():

@@ -135,6 +135,36 @@ def test_extend_is_the_engine_entry_point():
     assert callers == {("extension.py", "extend")}
 
 
+def test_the_front_ends_restate_no_library_rule():
+    # cli.py and experiment.py take an extension's count fields from
+    # ExtensionResult.count_fields and the oracle's cap from its answer,
+    # and in cli.py only main reports success
+    package = Path(eulerext.__file__).parent
+    trees = {name: ast.parse((package / name).read_text(encoding="utf-8")) for name in ("cli.py", "experiment.py")}
+    for name, tree in trees.items():
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not [n for n in named if n.startswith("PHASE_")], name
+    returns_ok = {
+        function.name
+        for function in ast.walk(trees["cli.py"])
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Name) and node.value.id == "EXIT_OK"
+    }
+    assert returns_ok == {"main"}
+    cap_rules = [
+        ast.unparse(node)
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and any(isinstance(side, ast.Constant) and side.value == 3 for side in (node.left, node.right))
+        and any(isinstance(call, ast.Attribute) and call.attr == "t_value" for call in ast.walk(node))
+    ]
+    assert cap_rules == []
+
+
 def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     # the two blocks run in order in one namespace, as a reader would paste them
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
