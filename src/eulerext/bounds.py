@@ -105,42 +105,34 @@ def e_good_check(g: Graph, stats: AlphaStats, params: BoundParams) -> GoodEventC
     return GoodEventCheck(deg_ok=deg_ok, edge_ok=edge_ok)
 
 
-# From this many risky vertices on, e_all_check counts their pairs with one
-# float32 product; below it, with one bit_count per pair. Timed on random
-# graphs with n from 40 to 3000, the crossover lies between 16 and 32.
-MATRIX_MIN_RISKY = 20
-
-
 def e_all_check(g: Graph) -> bool:
     """Does every vertex pair have at least (ln n)^3 / 2 common non-neighbors?
 
-    A pair u, v has at least n - 2 - deg u - deg v common non-neighbours,
-    so a vertex u with n - 2 - deg u - (max degree) >= floor certifies
-    every pair it lies in. Only pairs of the remaining, risky vertices
-    are counted exactly, and none when fewer than two are risky. Many
-    risky rows are counted by one float32 product of their 0/1
-    non-neighbour matrix with its transpose: the counts are integers no
-    larger than n, and float32 holds every integer up to 2^24 exactly.
+    A pair holding a vertex of maximum degree has at most n - 1 - (max
+    degree) common non-neighbours, so when that is below the floor the
+    answer is no. A pair u, v has at least n - 2 - deg u - deg v, so a
+    vertex u with n - 2 - deg u - (max degree) >= floor certifies every
+    pair it lies in. Only pairs of the remaining, risky vertices are
+    counted exactly, and none when fewer than two are risky: by one
+    float32 product of their 0/1 non-neighbour matrix with its
+    transpose. The counts are integers no larger than n, and float32
+    holds every integer up to 2^24 exactly.
     """
     n = g.n
     if n < 2:
         raise ValueError("need at least two vertices")
     floor = math.log(n) ** 3 / 2.0
     degrees = g.degrees()
-    slack = n - 2 - max(degrees)
+    top = max(degrees)
+    if n - 1 - top < floor:
+        return False
+    slack = n - 2 - top
     risky = [u for u, d in enumerate(degrees) if slack - d < floor]
     if len(risky) < 2:
         return True
-    if len(risky) >= MATRIX_MIN_RISKY:
-        non = g.non_neighbor_matrix(risky).astype(np.float32)
-        # the diagonal entry |non u| is no smaller than any pair count of u
-        return int((non @ non.T).min()) >= floor
-    masks = [g.non_neighbors_mask(u) for u in risky]
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            if (a & b).bit_count() < floor:
-                return False
-    return True
+    non = g.non_neighbor_matrix(risky).astype(np.float32)
+    # the diagonal entry |non u| is no smaller than any pair count of u
+    return int((non @ non.T).min()) >= floor
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ EXIT_IO = 3
 
 
 class _StoreOnce(argparse.Action):
-    # notes a spec-key flag given twice, which _build_model rejects as a spec file's repeated key
+    # notes a model flag given twice, which _build_model rejects as a spec file's repeated key
     def __call__(self, parser, namespace, values, option_string=None):
         if getattr(namespace, self.dest) is not None:
             namespace.repeated_flag = self.option_strings[0]
@@ -41,6 +41,7 @@ def _add_model_arguments(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("model (spec file or inline flags)")
     group.add_argument(
         "--model",
+        action=_StoreOnce,
         metavar="FILE",
         help="model spec file (key: value lines); takes no inline model flags, except --n on bounds",
     )
@@ -63,7 +64,7 @@ def _add_model_arguments(parser: argparse.ArgumentParser):
 
 
 def _build_model(args, spec_takes_n=False):
-    """The model of --model FILE or of the inline flags; a spec-key flag
+    """The model of --model FILE or of the inline flags; a model flag
     given twice, or inline flags next to --model, are config errors, except
     --n next to --model where spec_takes_n."""
     if args.repeated_flag is not None:

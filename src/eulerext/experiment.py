@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import DEFAULT_BETA, DEFAULT_GAMMA, default_params, e_all_check, e_good_check
-from .extension import FAIL_DISCONNECTED, _probe_budget, _verify_or_raise, extend
+from .extension import FAIL_DISCONNECTED, _probe_budget, _two_path_step_or_raise, _verify_or_raise, extend
 from .graph import _as_int
 from .models import EdgeProbabilityModel, alpha_stats, sample_graph
 from .oracle import ORACLE_MAX_VERTICES, min_extension_exact
@@ -102,8 +102,10 @@ def run_single_trial(
 
     The same generator drives sampling and the engine's random probing,
     so the whole trial is a function of trial_seed(base_seed, trial_index).
-    A successful extension that fails independent verification is an
-    engine bug and raises instead of being recorded.
+    A successful extension that fails independent verification, or a
+    connected sample in E_all that the engine does not extend with exactly
+    2t - (pairing edges) edges and no three-edge detour, is an engine bug
+    and raises instead of being recorded.
     """
     # draw no random numbers, so a bad beta, gamma or budget fails before sampling
     params = default_params(model.n, beta, gamma)
@@ -115,6 +117,7 @@ def run_single_trial(
 
     result = extend(g, rng=rng, max_random_attempts=max_random_attempts)
     _verify_or_raise(g, result)
+    _two_path_step_or_raise(result, all_ok)
 
     oracle_min = None
     if g.n <= ORACLE_MAX_VERTICES:

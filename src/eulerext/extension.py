@@ -327,3 +327,24 @@ def _verify_or_raise(g: Graph, result: ExtensionResult):
         report = verify_extension(g, result)
         if not report.ok:
             raise RuntimeError("engine produced an invalid extension: " + "; ".join(report.violations))
+
+
+def _two_path_step_or_raise(result: ExtensionResult, e_all: bool):
+    """Raise RuntimeError when a connected input in E_all did not succeed
+    with no phase-three edge and exactly 2t - (pairing edges) edges.
+
+    Every pair of phase one's residual clique is adjacent, so its common
+    non-neighbours lie outside the clique, and E_all gives each pair at
+    least one; phase two's first candidate partner therefore always works.
+    Anything else is an engine bug.
+    """
+    if not e_all or result.failure_reason == FAIL_DISCONNECTED:
+        return
+    counts = result.phase_counts()
+    expected = 2 * result.t_input - counts[PHASE_PAIRING]
+    if not result.success or counts[PHASE_THREE_PATH] or len(result.added_edges) != expected:
+        raise RuntimeError(
+            f"engine left the two-path step on a connected input in E_all: success={result.success}, "
+            f"{counts[PHASE_THREE_PATH]} three-path edges, {len(result.added_edges)} edges added "
+            f"against {expected}"
+        )

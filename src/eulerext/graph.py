@@ -206,6 +206,17 @@ class Graph:
         full = (1 << n) - 1
         return self._reachable_from(0, full) == full
 
+    def components(self) -> list[int]:
+        """Bitset of each connected component, in order of lowest vertex."""
+        rest = (1 << self.n) - 1
+        found = []
+        while rest:
+            # the search stays inside the start's component, all of it in rest
+            component = self._reachable_from((rest & -rest).bit_length() - 1, rest)
+            found.append(component)
+            rest &= ~component
+        return found
+
     def eulerian_circuit(self) -> EulerCircuit:
         """Extract an Eulerian circuit, always following the lowest-numbered
         available neighbour, so the output is deterministic.

@@ -1,9 +1,9 @@
 """Exact minimum Eulerian extension by exhaustive subset search.
 
 Ground truth for small graphs: enumerates complement-edge subsets in
-increasing cardinality and returns the first one whose addition makes
-the graph connected with all degrees even. Exponential, so its use is
-capped at a small vertex count.
+increasing cardinality, from a lower bound on the answer, and returns
+the first one whose addition makes the graph connected with all degrees
+even. Exponential, so its use is capped at a small vertex count.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +40,11 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
     Searches subsets of size t, t+1, ..., cap (default cap is 3t, the
     engine's guarantee) and reports the lexicographically first optimum.
     Sizes below t cannot work: every odd vertex needs an incident added
-    edge and one edge serves at most two of them.
+    edge and one edge serves at most two of them. When g has two or more
+    components the search starts at t + c0, c0 the number of components
+    with no odd vertex: the added edges leave each component an even
+    number of times, so at least twice, and a component holds at least
+    max(its odd vertices, 2) of their ends.
     """
     if cap is not None:
         cap = _as_int(cap, ValueError, "cap must be None or an int >= 0")
@@ -52,13 +56,15 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
     t = g.t_value()
     if cap is None:
         cap = 3 * t
+    odd = g.odd_mask
+    components = g.components()
+    start = t + sum(1 for c in components if not c & odd) if len(components) > 1 else t
 
     non = [g.non_neighbors_mask(u) for u in range(g.n)]
     comp = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (non[u] >> v) & 1]
     masks = [(1 << u) | (1 << v) for u, v in comp]
-    odd = g.odd_mask
 
-    for k in range(t, min(cap, len(comp)) + 1):
+    for k in range(start, min(cap, len(comp)) + 1):
         for chosen in combinations(range(len(comp)), k):
             parity = 0
             for i in chosen:

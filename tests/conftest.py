@@ -154,6 +154,29 @@ def is_valid_extension_ref(n, edges, added):
     return connected_ref(n, union) and not odd_vertices_ref(n, union)
 
 
+def min_extension_exact_ref(g, cap=None):
+    """(min_edges, witness) of the subset search from size t up to the cap,
+    with no component bound: the reference for min_extension_exact's
+    start at t + c0 (public Graph API only)."""
+    n, t = g.n, g.t_value()
+    if cap is None:
+        cap = 3 * t
+    comp = [(u, v) for u in range(n) for v in range(u + 1, n) if (g.non_neighbors_mask(u) >> v) & 1]
+    for k in range(t, min(cap, len(comp)) + 1):
+        for chosen in combinations(comp, k):
+            parity = 0
+            for u, v in chosen:
+                parity ^= (1 << u) | (1 << v)
+            if parity != g.odd_mask:
+                continue
+            trial = g.copy()
+            for u, v in chosen:
+                trial.add_edge(u, v)
+            if trial.is_connected():
+                return k, chosen
+    return None, None
+
+
 # -- the pair-at-a-time loops the engine and e_all_check replaced with
 # word-parallel kernels, kept as references (public Graph API only) --
 

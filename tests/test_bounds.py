@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import random
 from itertools import combinations
@@ -22,8 +24,6 @@ from eulerext import (
     sample_graph,
     step_success_bound,
 )
-
-import eulerext.bounds as bounds_module
 
 from conftest import common_non_neighbors_ref, min_common_non_neighbors_ref, random_edges
 
@@ -171,9 +171,9 @@ def test_e_good_boundary_is_inclusive():
 def test_min_common_non_neighbors_small():
     g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     # pair (1,2): non-neighbors of 1 = {3}, of 2 = {0}; intersection empty
-    assert min_common_non_neighbors_ref(g) == 0 and not check_both_paths(g)
-    assert min_common_non_neighbors_ref(Graph(4)) == 2 and check_both_paths(Graph(4))
-    assert min_common_non_neighbors_ref(Graph(2)) == 0 and not check_both_paths(Graph(2))
+    assert min_common_non_neighbors_ref(g) == 0 and not check_e_all(g)
+    assert min_common_non_neighbors_ref(Graph(4)) == 2 and check_e_all(Graph(4))
+    assert min_common_non_neighbors_ref(Graph(2)) == 0 and not check_e_all(Graph(2))
     with pytest.raises(ValueError):
         min_common_non_neighbors_ref(Graph(1))
 
@@ -190,38 +190,30 @@ def test_min_common_non_neighbors_matches_reference(n, seed):
         for v in range(u + 1, n)
     )
     assert min_common_non_neighbors_ref(g) == ref
-    assert check_both_paths(g) == (ref >= math.log(n) ** 3 / 2.0)
+    assert check_e_all(g) == (ref >= math.log(n) ** 3 / 2.0)
 
 
 @given(st.integers(2, 12), st.floats(0.0, 0.95), st.integers(0, 10**6))
 @settings(max_examples=150, deadline=None)
 def test_min_common_non_neighbors_matches_pair_loop(n, p, seed):
     g = Graph.from_edge_list(n, random_edges(random.Random(seed), n, p))
-    check_both_paths(g)
+    check_e_all(g)
 
 
 @pytest.mark.parametrize("n", [2, 7, 8, 9, 63, 64, 65, 257])
 def test_min_common_non_neighbors_packing_boundaries(n, monkeypatch):
     # sizes on either side of a byte and a 64-bit word, so the last,
     # partly filled byte of each packed row reaches the float32 product
-    monkeypatch.setattr(bounds_module, "MATRIX_MIN_RISKY", 2)
-    unpack = Graph.non_neighbor_matrix
-    row_counts = []
-
-    def counted(self, vertices):
-        rows = unpack(self, vertices)
-        row_counts.append(len(rows))
-        return rows
-
-    monkeypatch.setattr(Graph, "non_neighbor_matrix", counted)
+    row_counts = count_unpacked_rows(monkeypatch)
 
     def star(leaves):
         return Graph.from_edge_list(n, [(u, n - 1) for u in range(leaves)])
 
     complete = Graph.from_edge_list(n, combinations(range(n), 2))
     full = star(n - 1)
+    # a vertex adjacent to all others refutes both from the degrees alone
     assert not e_all_check(complete) and not e_all_check(full)
-    assert row_counts == [n, n]
+    assert row_counts == []
     assert min_common_non_neighbors_ref(complete) == min_common_non_neighbors_ref(full) == 0
     # the zero comes only from pairs holding the last vertex: any other
     # pair shares the remaining n - 3 vertices
@@ -234,10 +226,11 @@ def test_min_common_non_neighbors_packing_boundaries(n, monkeypatch):
         # a star on s leaves round the last vertex has min(n - 2 - s, n - 3)
         # as its minimum, so s = n - 2 - k leaves exactly k = ceil(floor)
         # and one more leaf k - 1; the risky rows are the star's s + 1
-        # vertices, and all n once one more leaf lowers the slack to k - 1
+        # vertices, and all n once one more leaf lowers the slack to k - 1;
+        # the hub keeps at least k >= floor non-neighbours, so the degrees
+        # refute neither and both reach the product
         k = math.ceil(floor_of(n))
         at_floor, below = star(n - 2 - k), star(n - 1 - k)
-        row_counts.clear()
         assert e_all_check(at_floor) and not e_all_check(below)
         assert row_counts == [n - 1 - k, n]
         assert min_common_non_neighbors_ref(at_floor) == k
@@ -246,8 +239,9 @@ def test_min_common_non_neighbors_packing_boundaries(n, monkeypatch):
 
 def test_min_common_non_neighbors_family_300():
     g = sample_graph(ExampleFamilyModel(300, 0.4, 0.2), np.random.default_rng(7))
-    assert check_both_paths(g) == (min_common_non_neighbors_ref(g) >= floor_of(300))
-    assert risky_count(g) >= bounds_module.MATRIX_MIN_RISKY
+    assert check_e_all(g) == (min_common_non_neighbors_ref(g) >= floor_of(300))
+    # neither refuted nor certified by the degrees: the product counts the risky rows
+    assert g.n - 1 - g.max_degree() >= floor_of(300) and risky_count(g) >= 2
 
 
 def test_e_all_threshold_arithmetic():
@@ -285,11 +279,8 @@ def risky_count(g):
     return sum(n - 2 - d - max(degrees) < floor_of(n) for d in degrees)
 
 
-def check_both_paths(g):
-    # the certified check against the exact minimum, once with every risky
-    # set counted by the pair loop and once by the float32 product, which
-    # must unpack the risky rows only
-    expected = min_common_non_neighbors_ref(g) >= floor_of(g.n)
+def count_unpacked_rows(patch):
+    # the row count of each later Graph.non_neighbor_matrix call
     unpack = Graph.non_neighbor_matrix
     row_counts = []
 
@@ -298,12 +289,20 @@ def check_both_paths(g):
         row_counts.append(len(rows))
         return rows
 
-    for crossover in (2, 10**9):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bounds_module, "MATRIX_MIN_RISKY", crossover)
-            patch.setattr(Graph, "non_neighbor_matrix", counted)
-            assert e_all_check(g) == expected
-    assert set(row_counts) <= {risky_count(g)}
+    patch.setattr(Graph, "non_neighbor_matrix", counted)
+    return row_counts
+
+
+def check_e_all(g):
+    # the check against the exact minimum; it unpacks no rows when the
+    # degrees refute or certify, and the risky rows once otherwise
+    expected = min_common_non_neighbors_ref(g) >= floor_of(g.n)
+    with pytest.MonkeyPatch.context() as patch:
+        row_counts = count_unpacked_rows(patch)
+        assert e_all_check(g) == expected
+    refuted = g.n - 1 - g.max_degree() < floor_of(g.n)
+    risky = risky_count(g)
+    assert row_counts == ([] if refuted or risky < 2 else [risky])
     return expected
 
 
@@ -342,13 +341,13 @@ SKEWED_40 = {
 def test_e_all_certified_on_skewed_graphs(name):
     g, risky, holds = SKEWED_40[name]
     assert risky_count(g) == risky
-    assert check_both_paths(g) == holds
+    assert check_e_all(g) == holds
 
 
 def test_e_all_at_the_floor_is_exact():
     g = SKEWED_40["at_the_floor"][0]
     assert min_common_non_neighbors_ref(g) == math.ceil(floor_of(40)) == 26
-    assert check_both_paths(g)
+    assert check_e_all(g)
 
 
 @st.composite
@@ -376,7 +375,7 @@ def skewed_graphs(draw):
 @given(skewed_graphs())
 @settings(max_examples=150, deadline=None)
 def test_e_all_certified_matches_exact_minimum(g):
-    check_both_paths(g)
+    check_e_all(g)
 
 
 def test_e_all_certified_without_any_matrix(monkeypatch):
@@ -391,6 +390,62 @@ def test_e_all_certified_without_any_matrix(monkeypatch):
     # vertex keeps some 700 guaranteed common non-neighbours, against a
     # floor of 219
     assert e_all_check(sample_graph(HomogeneousModel(2000, 0.3), np.random.default_rng(5)))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.from_edge_list(3, combinations(range(3), 2)),
+        Graph.from_edge_list(300, combinations(range(300), 2)),
+        sample_graph(HomogeneousModel(300, 0.95), np.random.default_rng(3)),
+    ],
+    ids=["K3", "K300", "homogeneous-300-0.95"],
+)
+def test_e_all_refuted_by_the_degrees_on_dense_graphs(g):
+    # a vertex of maximum degree leaves fewer than the floor for any of its
+    # pairs, so the answer is no before any row is unpacked (check_e_all)
+    assert g.n - 1 - g.max_degree() < floor_of(g.n)
+    assert not check_e_all(g)
+
+
+def two_block_graph(rnd, n, k):
+    # a dense block on vertices 0..k-1, a sparse rest and random cross edges
+    dense, cross, sparse = rnd.uniform(0.5, 1.0), rnd.uniform(0.0, 0.5), rnd.uniform(0.0, 0.2)
+    return Graph.from_edge_list(
+        n,
+        [
+            (u, v)
+            for u, v in combinations(range(n), 2)
+            if rnd.random() < (dense if v < k else cross if u < k else sparse)
+        ],
+    )
+
+
+def test_e_all_matches_exact_minimum_on_mixed_graphs():
+    # every route of the check is taken, the product with both answers
+    routes = set()
+    for seed in range(40):
+        rnd = random.Random(seed)
+        n = rnd.randint(20, 120)
+        g = two_block_graph(rnd, n, rnd.randint(1, n // 2))
+        holds = check_e_all(g)
+        if g.n - 1 - g.max_degree() < floor_of(n):
+            routes.add(("refuted", holds))
+        else:
+            routes.add(("certified" if risky_count(g) < 2 else "counted", holds))
+    assert routes == {("refuted", False), ("certified", True), ("counted", True), ("counted", False)}
+
+
+def test_e_all_counts_rows_with_the_product_only():
+    # one exact-count path: the float32 product over the risky rows, never a
+    # pair loop over single non-neighbour masks
+    tree = ast.parse(inspect.getsource(e_all_check))
+    called = {
+        getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+    }
+    assert "non_neighbor_matrix" in called and "non_neighbors_mask" not in called
 
 
 # -- step bounds --

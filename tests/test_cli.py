@@ -586,11 +586,17 @@ def test_spec_file_with_a_repeated_key_is_config_error(tmp_path, capsys):
         (["bounds", "--model", "{spec}", "--n", "100", "--n", "200"], "--n"),
         (["experiment", "--model-type", "example_family", "--n", "20", "--a", "0.4", "--a", "0.5", "--b", "0.2",
           "--trials", "1"], "--a"),
+        (["sample", "--model", "{spec}", "--model", "{spec}", "--seed", "1"], "--model"),
+        (["bounds", "--model", "{spec}", "--model", "{spec}"], "--model"),
+        (["experiment", "--model", "{spec}", "--model", "{spec}", "--trials", "1"], "--model"),
     ],
-    ids=["sample-p", "sample-n", "sample-type", "bounds-p", "bounds-spec-n", "experiment-a"],
+    ids=[
+        "sample-p", "sample-n", "sample-type", "bounds-p", "bounds-spec-n", "experiment-a",
+        "sample-model", "bounds-model", "experiment-model",
+    ],
 )
 def test_repeated_inline_model_flag_is_config_error(tmp_path, capsys, argv, flag):
-    # a spec-key flag may be given once, as a spec file may state its key once
+    # a model flag may be given once, as a spec file may state its key once
     spec = tmp_path / "family.model"
     spec.write_text("type: example_family\nn: 300\na: 0.4\nb: 0.2\n")
     out = tmp_path / "out.file"

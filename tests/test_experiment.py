@@ -8,10 +8,12 @@ import pytest
 
 from eulerext import (
     EMITTED_FIELDS,
+    ExampleFamilyModel,
     HomogeneousModel,
     Summary,
     TrialRecord,
     experiment,
+    extension,
     min_extension_exact,
     run_single_trial,
     run_trials,
@@ -168,6 +170,20 @@ def test_single_trial_connected_comes_from_the_engine():
             assert (r.failure_reason == "disconnected_input") == (not r.connected)
             seen.add((r.connected, r.failure_reason))
     assert seen == {(False, "disconnected_input"), (True, None), (True, "no_three_path")}
+
+
+def test_trial_in_e_all_that_reaches_phase_three_raises(monkeypatch):
+    # a phase two that hands its residual on untouched sends the clique pair
+    # to phase three, which a connected sample in E_all never needs
+    model = ExampleFamilyModel(300, 0.4, 0.2)
+    r = run_single_trial(model, 1, base_seed=0)
+    assert r.connected and r.e_all and r.two_path_edges == 2
+    monkeypatch.setattr(extension, "phase_clique_reduction", lambda g, residual: ([], residual))
+    with pytest.raises(RuntimeError, match="E_all"):
+        run_single_trial(model, 1, base_seed=0)
+    # outside E_all the same detours are data
+    r = run_single_trial(model10(), 1, base_seed=77)
+    assert r.connected and not r.e_all and r.engine_success and r.three_path_edges == 3
 
 
 def test_single_trial_oracle_cross_check():

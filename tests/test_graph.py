@@ -26,6 +26,7 @@ from conftest import (
     bitset,
     circuit_covers,
     common_non_neighbors_ref,
+    components_ref,
     connected_ref,
     has_edge,
     odd_vertices_ref,
@@ -390,6 +391,20 @@ def test_is_connected_matches_reference(n, p, seed):
     edges = random_edges(rnd, n, p)
     assert Graph.from_edge_list(n, edges).is_connected() == connected_ref(n, edges)
 
+
+
+def test_components_cases():
+    assert Graph(0).components() == []
+    assert Graph(3).components() == [0b001, 0b010, 0b100]
+    assert p3().components() == [0b111]
+    assert Graph.from_edge_list(5, [(0, 3), (1, 4), (4, 2)]).components() == [0b01001, 0b10110]
+
+
+@given(st.integers(0, 60), st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.5]), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_components_match_reference(n, p, seed):
+    edges = random_edges(random.Random(seed), n, p)
+    assert Graph.from_edge_list(n, edges).components() == [bitset(c) for c in components_ref(n, edges)]
 
 # -- common non-neighbors --
 

@@ -16,9 +16,11 @@ from eulerext import (
 )
 
 from conftest import (
+    all_graph_edge_sets,
     components_ref,
     has_edge,
     is_valid_extension_ref,
+    min_extension_exact_ref,
     odd_complement_matching_ref,
     odd_vertices_ref,
     random_connected_edges,
@@ -193,8 +195,9 @@ def test_oracle_needs_t_plus_even_components_on_a_disconnected_graph(graph_edges
     assume(len(components) >= 2)
     odd = odd_vertices_ref(n, edges)
     bound = len(odd) // 2 + sum(1 for c in components if not c & odd)
-    # every size below the bound is searched in full and none works
-    assert min_extension_exact(graph(n, edges), cap=bound - 1).min_edges is None
+    # every size below the bound is searched in full and none works; the
+    # reference searches them, since min_extension_exact starts at the bound
+    assert min_extension_exact_ref(graph(n, edges), cap=bound - 1) == (None, None)
 
 
 @given(connected_graphs)
@@ -219,6 +222,38 @@ def test_engine_never_beats_the_oracle(graph_edges, rng_seed):
     if result.success:
         # the oracle searches up to 3t, the engine's guarantee
         assert answer.extendable and answer.min_edges <= len(result.added_edges) <= answer.cap
+
+
+def test_search_from_t_plus_c0_matches_the_search_from_t_exhaustive():
+    # every graph on at most five vertices and every cap up to 3t + 2: the
+    # sizes t .. t + c0 - 1 that the oracle skips hold no extension
+    for n in range(6):
+        for edges in all_graph_edge_sets(n):
+            g = graph(n, edges)
+            for cap in (None, *range(3 * g.t_value() + 3)):
+                answer = min_extension_exact(g, cap)
+                assert (answer.min_edges, answer.witness) == min_extension_exact_ref(g, cap)
+                assert answer.cap == (3 * g.t_value() if cap is None else cap)
+
+
+@st.composite
+def disconnected_graphs(draw):
+    # random edges inside two to four blocks of vertices and none between
+    n = draw(st.integers(2, 7))
+    block = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    assume(len(set(block)) >= 2)
+    rnd = random.Random(draw(st.integers(0, 10**6)))
+    p = draw(st.floats(0.0, 1.0))
+    edges = [(u, v) for u, v in combinations(range(n), 2) if block[u] == block[v] and rnd.random() < p]
+    return graph(n, edges)
+
+
+@given(disconnected_graphs(), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_search_from_t_plus_c0_matches_the_search_from_t(g, cap):
+    # caps stay small, since the search from t walks every size below it
+    answer = min_extension_exact(g, cap)
+    assert (answer.min_edges, answer.witness) == min_extension_exact_ref(g, cap)
 
 
 def test_answer_carries_the_cap_it_searched():
