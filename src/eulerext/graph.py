@@ -137,11 +137,9 @@ class Graph:
         non_neighbors_mask(vertices[i]), unpacked with from_bool_adjacency's
         little-endian layout. Each listed vertex is checked as
         non_neighbors_mask checks it; repeats are allowed."""
-        n, adj = self.n, self._adj
-        vertices = list(map(self._check_vertex, vertices))
-        full = (1 << n) - 1
+        n = self.n
         width = (n + 7) // 8
-        rows = b"".join((full & ~(adj[v] | 1 << v)).to_bytes(width, "little") for v in vertices)
+        rows = b"".join(self.non_neighbors_mask(v).to_bytes(width, "little") for v in vertices)
         packed = np.frombuffer(rows, dtype=np.uint8).reshape(len(vertices), width)
         return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(np.bool_)
 

@@ -6,7 +6,7 @@ order, so a fixed seed always reproduces the same graph.
 
 Alpha statistics (the min / max per-vertex average probability and the
 overall pair average) are computed in exact rational arithmetic, one row
-sum per class of vertices with the same row values, and only rounded on
+sum per run of vertices with the same row values, and only rounded on
 the way out; this keeps guaranteed identities like alpha_up == a for the
 example family bit-exact.
 """
@@ -49,7 +49,8 @@ def _vertex_count(n) -> int:
 class EdgeProbabilityModel:
     """Base class: a symmetric pair-probability assignment on n vertices.
 
-    Subclasses state their rule once, in probability_row.
+    Subclasses state their probabilities once, in probability_row; row_classes
+    only says which vertices share a row multiset.
     """
 
     def __init__(self, n: int):
@@ -61,32 +62,14 @@ class EdgeProbabilityModel:
         """Length-n vector of p(u, v) with 0.0 in the diagonal slot."""
         raise NotImplementedError
 
-    def row_value_counts(self, u: int) -> list[tuple[float, int]]:
-        """Distinct probability values of row u with multiplicities.
+    def row_classes(self) -> list[range]:
+        """Runs of vertices whose rows hold the same multiset of values.
 
-        Tallied from probability_row(u) in ascending value order, so two
-        rows with the same multiset give equal lists. The diagonal slot is
-        excluded; counts sum to n - 1.
-        """
-        row = self.probability_row(u)
-        values, counts = np.unique(row, return_counts=True)
-        out = []
-        for value, count in zip(values.tolist(), counts.tolist()):
-            if value == 0.0:
-                count -= 1  # drop the diagonal slot
-            if count:
-                out.append((value, count))
-        return out
-
-    def row_classes(self) -> list[tuple[range, list[tuple[float, int]]]]:
-        """The vertices as (vertices, value counts) classes.
-
-        Every vertex of a class has the row multiset given by the class's
-        row_value_counts, and each vertex lies in exactly one class. The
-        default is one class per vertex; subclasses that know which rows
+        The runs are nonempty, in ascending order, and cover range(n) once.
+        The default is one run per vertex; subclasses that know which rows
         repeat return fewer, which is what keeps alpha_stats cheap.
         """
-        return [(range(u, u + 1), self.row_value_counts(u)) for u in range(self.n)]
+        return [range(u, u + 1) for u in range(self.n)]
 
     def pair_probabilities(self) -> np.ndarray:
         """Probabilities for all pairs u < v in lexicographic order (cached)."""
@@ -122,7 +105,7 @@ class HomogeneousModel(EdgeProbabilityModel):
         return row
 
     def row_classes(self):
-        return [(range(self.n), [(self.p, self.n - 1)])]
+        return [range(self.n)]
 
     def __repr__(self):
         return f"HomogeneousModel(n={self.n}, p={self.p})"
@@ -199,15 +182,15 @@ class ExampleFamilyModel(EdgeProbabilityModel):
     def row_classes(self):
         # rows differ only at the block ends and at the last vertex and its
         # cycle mates 0 and n-2, so each run strictly between two of these
-        # cuts is one class
+        # cuts holds alike rows
         n, k, k2 = self.n, self.first_block_end, self.second_block_end
         cuts = sorted({0, k - 1, k, k2 - 1, k2, n - 2, n - 1})
-        classes = []
+        runs = []
         for lo, hi in zip(cuts, cuts[1:] + [n]):
-            classes.append((range(lo, lo + 1), self.row_value_counts(lo)))
+            runs.append(range(lo, lo + 1))
             if hi > lo + 1:
-                classes.append((range(lo + 1, hi), self.row_value_counts(lo + 1)))
-        return classes
+                runs.append(range(lo + 1, hi))
+        return runs
 
     def __repr__(self):
         return f"ExampleFamilyModel(n={self.n}, a={self.a}, b={self.b})"
@@ -232,27 +215,30 @@ def alpha_stats(model: EdgeProbabilityModel) -> AlphaStats:
     alpha_low / alpha_up are the min / max over vertices of the average
     probability towards the other n-1 vertices; alpha_e is the average over
     all pairs. Computed with Fractions so that e.g. a homogeneous model
-    reports (p, p, p) exactly. The rows come from model.row_classes(), and
-    classes with equal value counts share one exact row sum, so the cost
-    is O(#row classes) Fraction operations plus filling per_vertex_avg.
-    Results are cached on the model.
+    reports (p, p, p) exactly. Each run of model.row_classes() is tallied
+    from its first row, less the diagonal slot, and runs with equal tallies
+    share one exact row sum: one row read per run, O(#runs) Fraction
+    operations and filling per_vertex_avg. Results are cached on the model.
     """
     if model._alpha is not None:
         return model._alpha
     n = model.n
     groups: dict[tuple, list[range]] = {}
-    for vertices, value_counts in model.row_classes():
-        groups.setdefault(tuple(value_counts), []).append(vertices)
+    for run in model.row_classes():
+        values, counts = np.unique(model.probability_row(run.start), return_counts=True)
+        counts[0] -= 1  # the diagonal slot holds the smallest value, 0.0
+        tally = tuple((v, c) for v, c in zip(values.tolist(), counts.tolist()) if c)
+        groups.setdefault(tally, []).append(run)
     row_sums = []
     total = Fraction(0)  # sum over rows, which counts each pair twice
     per_vertex = [0.0] * n
-    for value_counts, ranges in groups.items():
-        s = sum(Fraction(value) * count for value, count in value_counts)
+    for tally, runs in groups.items():
+        s = sum(Fraction(value) * count for value, count in tally)
         row_sums.append(s)
-        total += s * sum(len(r) for r in ranges)
+        total += s * sum(len(run) for run in runs)
         average = float(s / (n - 1))
-        for r in ranges:
-            per_vertex[r.start:r.stop:r.step] = [average] * len(r)
+        for run in runs:
+            per_vertex[run.start:run.stop] = [average] * len(run)
     stats = AlphaStats(
         alpha_low=float(min(row_sums) / (n - 1)),
         alpha_up=float(max(row_sums) / (n - 1)),

@@ -7,6 +7,7 @@ compare two unrelated computations of the same quantity.
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -322,18 +323,21 @@ def sample_graph_ref(model, rng):
 
 
 def alpha_stats_ref(model):
-    """The per-row alpha_stats that the row-class version replaced.
+    """The per-row alpha_stats that the row-run version replaced.
 
-    One exact Fraction row sum per vertex from row_value_counts. It does
-    not read or fill the model's cache, so it never hands back the
-    library's answer.
+    One exact Fraction row sum per vertex, from a Counter of the row's
+    off-diagonal slots, so it shares only probability_row with the
+    library. It does not read or fill the model's cache, so it never hands
+    back the library's answer.
     """
     n = model.n
     seen: dict[float, Fraction] = {}
     sums = []
     for u in range(n):
+        row = model.probability_row(u).tolist()
+        del row[u]
         s = Fraction(0)
-        for value, count in model.row_value_counts(u):
+        for value, count in Counter(row).items():
             frac = seen.get(value)
             if frac is None:
                 frac = seen[value] = Fraction(value)

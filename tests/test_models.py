@@ -151,21 +151,6 @@ def test_family_row_matches_pointwise(n):
                 assert row[v] == family_probability_ref(n, 0.8, 0.25, u, v)
 
 
-def test_row_value_counts_agree_with_rows():
-    models = [
-        HomogeneousModel(9, 0.3),
-        ExplicitModel(7, symmetric_matrix(7, 1)),
-        ExampleFamilyModel(21, 0.6, 0.2),
-    ]
-    for m in models:
-        for u in range(m.n):
-            counts = m.row_value_counts(u)
-            assert sum(c for _, c in counts) == m.n - 1
-            expected = sorted(v for v in m.probability_row(u)[np.arange(m.n) != u])
-            rebuilt = sorted(val for val, c in counts for _ in range(c))
-            assert rebuilt == pytest.approx(expected)
-
-
 def test_pair_probabilities_order_and_cache():
     m = ExplicitModel(4, symmetric_matrix(4, 2))
     vec = m.pair_probabilities()
@@ -249,12 +234,18 @@ def test_row_classes_partition_the_rows():
     models += [HomogeneousModel(n, p) for n in (2, 3, 17) for p in (0.0, 0.3, 1.0)]
     models.append(ExplicitModel(5, symmetric_matrix(5, 3)))
     for m in models:
-        covered = []
-        for vertices, counts in m.row_classes():
-            covered.extend(vertices)
-            for u in vertices:
-                assert m.row_value_counts(u) == counts, (m, u)
-        assert sorted(covered) == list(range(m.n)), m
+        runs = m.row_classes()
+        # nonempty ranges in ascending order that cover range(n) once
+        assert all(type(run) is range and run.step == 1 and run for run in runs), m
+        assert [u for run in runs for u in run] == list(range(m.n)), m
+        for run in runs:
+            first = off_diagonal_values(m, run.start)
+            for u in run:
+                assert off_diagonal_values(m, u) == first, (m, u)
+
+
+def off_diagonal_values(m, u):
+    return sorted(np.delete(m.probability_row(u), u).tolist())
 
 
 def test_alpha_stats_matches_reference_family():
@@ -313,7 +304,8 @@ def test_alpha_stats_matches_reference_explicit(n, blocks, pool, seed, by_block)
 
 
 def test_alpha_stats_row_calls_do_not_grow_with_n(monkeypatch):
-    # the family needs one row per class, the homogeneous model none
+    # alpha_stats reads one row per run: ten for the family, one for the
+    # homogeneous model
     calls = []
     for cls in (ExampleFamilyModel, HomogeneousModel):
         def counting(self, u, row=cls.probability_row):
@@ -322,11 +314,11 @@ def test_alpha_stats_row_calls_do_not_grow_with_n(monkeypatch):
         monkeypatch.setattr(cls, "probability_row", counting)
     s = alpha_stats(ExampleFamilyModel(10**5, 0.4, 0.2))
     assert s.alpha_up == 0.4
-    assert 0 < len(calls) <= 16
+    assert len(calls) == 10
     calls.clear()
     s = alpha_stats(HomogeneousModel(10**5, 0.3))
     assert s.alpha_e == 0.3
-    assert calls == []
+    assert calls == [0]
 
 
 # -- density window check --

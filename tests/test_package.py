@@ -165,6 +165,25 @@ def test_the_front_ends_restate_no_library_rule():
     assert cap_rules == []
 
 
+def test_models_state_their_probabilities_once():
+    # a model's parameters are read only where it is built, states its rows
+    # and prints itself; row_classes lists runs and alpha_stats tallies rows
+    tree = ast.parse((Path(eulerext.__file__).parent / "models.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    readers = {
+        function.name
+        for function in functions
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr in {"p", "a", "b", "matrix"}
+    }
+    assert readers <= {"__init__", "probability_row", "__repr__"}
+    assert "row_value_counts" not in {function.name for function in functions}
+
+
 def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     # the two blocks run in order in one namespace, as a reader would paste them
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
