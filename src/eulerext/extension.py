@@ -254,14 +254,9 @@ def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> Extens
     if rng is not None and not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be None or a numpy Generator, got {type(rng).__name__}")
     max_random_attempts = _probe_budget(max_random_attempts)
-    if not g.is_connected():
-        return ExtensionResult(False, g.t_value(), (), failure_reason=FAIL_DISCONNECTED)
     t = g.t_value()
-    if t == 0:
-        return ExtensionResult(True, 0, ())
-    if max_random_attempts is None:
-        # t > 0 needs two odd vertices, so n >= 2 and the log is positive
-        max_random_attempts = 64 * math.ceil(math.log(g.n))
+    if not g.is_connected():
+        return ExtensionResult(False, t, (), failure_reason=FAIL_DISCONNECTED)
     work = g.copy()
     # the phases are called through module globals, which benchmarks/tracing.py rebinds to time them
     added, residual = phase_pairing(work)
@@ -269,6 +264,9 @@ def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> Extens
     added.extend(two_path)
     attempts, failing = 0, None
     if pending:
+        if max_random_attempts is None:
+            # pending holds two or more vertices, so n >= 2 and the log is positive
+            max_random_attempts = 64 * math.ceil(math.log(g.n))
         outcome = phase_three_paths(work, pending, rng, max_random_attempts)
         added.extend(outcome.edges)
         attempts, failing = outcome.attempts, outcome.failing_pair

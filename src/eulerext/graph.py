@@ -198,11 +198,8 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True iff a traversal from vertex 0 reaches every vertex."""
-        n = self.n
-        if n <= 1:
-            return True
-        full = (1 << n) - 1
-        return self._reachable_from(0, full) == full
+        full = (1 << self.n) - 1
+        return not self.n or self._reachable_from(0, full) == full
 
     def components(self) -> list[int]:
         """Bitset of each connected component, in order of lowest vertex."""
@@ -224,15 +221,12 @@ class Graph:
         """
         if self._odd:
             raise NotEulerianError("odd_vertices")
-        live = 0
-        for v in range(self.n):
-            if self._adj[v]:
-                live |= 1 << v
+        live = [c for c in self.components() if c & (c - 1)]  # two or more vertices: an edge
         if not live:
             return EulerCircuit((0,) if self.n else ())
-        start = (live & -live).bit_length() - 1
-        if self._reachable_from(start, live) & live != live:
+        if len(live) > 1:
             raise NotEulerianError("disconnected")
+        start = (live[0] & -live[0]).bit_length() - 1
 
         work = self._adj.copy()
         stack = [start]

@@ -112,20 +112,19 @@ class HomogeneousModel(EdgeProbabilityModel):
 
 
 class ExplicitModel(EdgeProbabilityModel):
-    """Probabilities given as a full symmetric matrix (diagonal ignored)."""
+    """Probabilities given as a full symmetric matrix. The diagonal is zeroed,
+    then every entry must lie in [0, 1], NaN failing there, then symmetry."""
 
     def __init__(self, n: int, matrix):
         super().__init__(n)
         mat = np.array(matrix, dtype=float)
         if mat.shape != (n, n):
             raise ModelError(f"matrix shape {mat.shape} does not match n={n}")
-        # NaN != NaN, so a mirrored NaN needs the NaN-aware compare to reach the
-        # range check below; that compare is about 5x slower, so it only backs up
-        if not (np.array_equal(mat, mat.T) or np.array_equal(mat, mat.T, equal_nan=True)):
-            raise ModelError("probability matrix must be symmetric")
         np.fill_diagonal(mat, 0.0)
         if np.isnan(mat).any() or (mat < 0).any() or (mat > 1).any():
             raise ModelError("matrix entries must lie in [0, 1]")
+        if not np.array_equal(mat, mat.T):
+            raise ModelError("probability matrix must be symmetric")
         self.matrix = mat
 
     def probability_row(self, u):
@@ -403,5 +402,4 @@ def read_lower_triangular(path, n: int) -> np.ndarray:
             except ValueError:
                 raise ModelError(f"bad matrix entry {token!r} in row {i}") from None
             mat[i, j] = value
-            mat[j, i] = value
-    return mat
+    return mat + mat.T

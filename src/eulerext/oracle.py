@@ -9,7 +9,7 @@ even. Exponential, so its use is capped at a small vertex count.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import Graph, GraphError, _as_int
+from .graph import Graph, GraphError, _as_int, _bits
 
 __all__ = ["ORACLE_MAX_VERTICES", "OracleAnswer", "OracleSizeError", "min_extension_exact"]
 
@@ -60,8 +60,7 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
     components = g.components()
     start = t + sum(1 for c in components if not c & odd) if len(components) > 1 else t
 
-    non = [g.non_neighbors_mask(u) for u in range(g.n)]
-    comp = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (non[u] >> v) & 1]
+    comp = [(u, v) for u in range(g.n) for v in _bits(g.non_neighbors_mask(u) & (-1 << (u + 1)))]
     masks = [(1 << u) | (1 << v) for u, v in comp]
 
     for k in range(start, min(cap, len(comp)) + 1):

@@ -24,9 +24,11 @@ from eulerext import (
 from eulerext.extension import PROBE_BLOCK, phase_clique_reduction, phase_pairing, phase_three_paths
 
 from conftest import (
+    all_graph_edge_sets,
     all_pairs,
     bitset,
     common_non_neighbors_ref,
+    connected_ref,
     has_edge,
     is_valid_extension_ref,
     odd_vertices_ref,
@@ -277,6 +279,25 @@ def test_extend_already_eulerian():
 def test_extend_single_vertex():
     r = extend(Graph(1))
     assert r.success and r.added_edges == ()
+
+
+def test_extend_adds_nothing_to_connected_even_graphs():
+    # every phase finds nothing to do, so extend's final return answers;
+    # no probe is drawn, so a generator is left as it was
+    checked = 0
+    for n in range(7):
+        for edges in all_graph_edge_sets(n):
+            if odd_vertices_ref(n, edges) or not connected_ref(n, edges):
+                continue
+            g = graph(n, edges)
+            before = g.copy()
+            for rng in (None, np.random.default_rng(n)):
+                state = rng_state(rng)
+                assert extend(g, rng) == ExtensionResult(True, 0, ())
+                assert g == before
+                assert rng_state(rng) == state
+            checked += 1
+    assert checked == 764  # labelled connected even graphs, n = 0..6: 1, 1, 0, 1, 3, 38, 720
 
 
 def test_extend_path_one_edge():

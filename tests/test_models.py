@@ -67,8 +67,8 @@ def test_explicit_nan_entry_fails_the_range_check():
     mat[0, 1] = mat[1, 0] = np.nan
     with pytest.raises(ModelError, match=r"matrix entries must lie in \[0, 1\]"):
         ExplicitModel(3, mat)
-    mat[1, 0] = 0.5  # a NaN facing a number is an asymmetry
-    with pytest.raises(ModelError, match="must be symmetric"):
+    mat[1, 0] = 0.5  # the range check runs first, so a NaN facing a number fails it too
+    with pytest.raises(ModelError, match=r"matrix entries must lie in \[0, 1\]"):
         ExplicitModel(3, mat)
 
 

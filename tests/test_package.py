@@ -135,6 +135,17 @@ def test_extend_is_the_engine_entry_point():
     assert callers == {("extension.py", "extend")}
 
 
+def test_extend_and_the_matrix_check_answer_on_one_path():
+    # a connected even graph leaves extend through the same final return as
+    # any other success, and ExplicitModel's range check already rejects
+    # NaN, so its symmetry test needs no NaN-aware second compare
+    tree = ast.parse(Path(eulerext.extension.__file__).read_text(encoding="utf-8"))
+    (extend_def,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "extend"]
+    assert len([node for node in ast.walk(extend_def) if isinstance(node, ast.Return)]) == 2
+    package = Path(eulerext.__file__).parent
+    assert [path.name for path in package.glob("*.py") if "equal_nan" in path.read_text(encoding="utf-8")] == []
+
+
 def test_the_front_ends_restate_no_library_rule():
     # cli.py and experiment.py take an extension's count fields from
     # ExtensionResult.count_fields and the oracle's cap from its answer,
