@@ -1,11 +1,11 @@
 """Concentration checks and detour success bounds for sampled graphs.
 
-Everything here is a closed-form evaluation: a sub-Gaussian tail for
-sums of independent edge indicators, membership tests for the two
-typical-graph events (bounded maximum degree / edge count, and plentiful
-common non-neighbors), and the per-step lower bound on finding a
-two-edge detour together with its analytic floor. Logs are natural
-throughout.
+The tail and step bounds are closed-form: a sub-Gaussian tail for sums
+of independent edge indicators, and the per-step lower bound on finding
+a two-edge detour with its analytic floor. The two typical-graph events
+are membership tests on a sample: bounded maximum degree / edge count,
+and plentiful common non-neighbors, which counts the pairs that the
+degrees leave undecided. Logs are natural throughout.
 """
 
 import math
@@ -46,6 +46,11 @@ def chernoff_tail(mu: float, eps: float) -> float:
     return math.exp(-(eps * eps) * mu / 4.0)
 
 
+def _zeta_window(beta: float, gamma: float) -> tuple[float, float]:
+    """The open interval (gamma + beta/2, (1 - beta)/2) that zeta must lie in."""
+    return gamma + beta / 2.0, (1.0 - beta) / 2.0
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Exponent triple (beta, gamma, zeta) plus the deviation epsilon.
@@ -64,8 +69,7 @@ class BoundParams:
 
     def __post_init__(self):
         check_exponents(self.beta, self.gamma)
-        lo = self.gamma + self.beta / 2.0
-        hi = (1.0 - self.beta) / 2.0
+        lo, hi = _zeta_window(self.beta, self.gamma)
         if not lo < self.zeta < hi:
             raise ValueError(
                 f"zeta must lie in ({lo}, {hi}) for beta={self.beta}, gamma={self.gamma}, "
@@ -78,8 +82,7 @@ class BoundParams:
 def default_params(n: int, beta: float = DEFAULT_BETA, gamma: float = DEFAULT_GAMMA) -> BoundParams:
     """Midpoint zeta for the (beta, gamma) window and epsilon = n^-zeta."""
     n = _as_int(n, ValueError, "need an int n >= 2", 2)
-    lo = gamma + beta / 2.0
-    hi = (1.0 - beta) / 2.0
+    lo, hi = _zeta_window(beta, gamma)
     zeta = (lo + hi) / 2.0
     return BoundParams(beta=beta, gamma=gamma, zeta=zeta, epsilon=float(n) ** (-zeta))
 

@@ -63,13 +63,19 @@ class EdgeProbabilityModel:
         raise NotImplementedError
 
     def row_classes(self) -> list[range]:
-        """Runs of vertices whose rows hold the same multiset of values.
+        """Maximal runs of vertices whose rows hold the same multiset of values.
 
-        The runs are nonempty, in ascending order, and cover range(n) once.
-        The default is one run per vertex; subclasses that know which rows
-        repeat return fewer, which is what keeps alpha_stats cheap.
+        The runs are nonempty, in ascending order, cover range(n) once, and
+        neighbouring runs differ. The default reads each row once and merges
+        neighbours with equal sorted rows; a subclass may list its runs directly.
         """
-        return [range(u, u + 1) for u in range(self.n)]
+        starts, previous = [0], np.sort(self.probability_row(0))
+        for u in range(1, self.n):
+            current = np.sort(self.probability_row(u))
+            if not np.array_equal(current, previous):
+                starts.append(u)
+            previous = current
+        return [range(lo, hi) for lo, hi in zip(starts, starts[1:] + [self.n])]
 
     def pair_probabilities(self) -> np.ndarray:
         """Probabilities for all pairs u < v in lexicographic order (cached)."""
@@ -179,17 +185,12 @@ class ExampleFamilyModel(EdgeProbabilityModel):
         return row
 
     def row_classes(self):
-        # rows differ only at the block ends and at the last vertex and its
-        # cycle mates 0 and n-2, so each run strictly between two of these
-        # cuts holds alike rows
+        # a cycle mate outside the block sets k - 1, k and k2 - 1 apart, and
+        # the last vertex's rule sets n - 2 and n - 1 apart (it also covers
+        # 0's outside mate, n - 1). Eight runs at every n >= 16.
         n, k, k2 = self.n, self.first_block_end, self.second_block_end
-        cuts = sorted({0, k - 1, k, k2 - 1, k2, n - 2, n - 1})
-        runs = []
-        for lo, hi in zip(cuts, cuts[1:] + [n]):
-            runs.append(range(lo, lo + 1))
-            if hi > lo + 1:
-                runs.append(range(lo + 1, hi))
-        return runs
+        cuts = [0, k - 1, k, k + 1, k2 - 1, k2, n - 2, n - 1, n]
+        return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
     def __repr__(self):
         return f"ExampleFamilyModel(n={self.n}, a={self.a}, b={self.b})"
@@ -215,29 +216,23 @@ def alpha_stats(model: EdgeProbabilityModel) -> AlphaStats:
     probability towards the other n-1 vertices; alpha_e is the average over
     all pairs. Computed with Fractions so that e.g. a homogeneous model
     reports (p, p, p) exactly. Each run of model.row_classes() is tallied
-    from its first row, less the diagonal slot, and runs with equal tallies
-    share one exact row sum: one row read per run, O(#runs) Fraction
-    operations and filling per_vertex_avg. Results are cached on the model.
+    from its first row, less the diagonal slot, into one exact row sum:
+    one row read and O(#distinct values) Fraction operations per run, plus
+    filling per_vertex_avg. Results are cached on the model.
     """
     if model._alpha is not None:
         return model._alpha
     n = model.n
-    groups: dict[tuple, list[range]] = {}
-    for run in model.row_classes():
-        values, counts = np.unique(model.probability_row(run.start), return_counts=True)
-        counts[0] -= 1  # the diagonal slot holds the smallest value, 0.0
-        tally = tuple((v, c) for v, c in zip(values.tolist(), counts.tolist()) if c)
-        groups.setdefault(tally, []).append(run)
     row_sums = []
     total = Fraction(0)  # sum over rows, which counts each pair twice
     per_vertex = [0.0] * n
-    for tally, runs in groups.items():
-        s = sum(Fraction(value) * count for value, count in tally)
+    for run in model.row_classes():
+        values, counts = np.unique(model.probability_row(run.start), return_counts=True)
+        counts[0] -= 1  # the diagonal slot holds the smallest value, 0.0
+        s = sum(Fraction(value) * count for value, count in zip(values.tolist(), counts.tolist()))
         row_sums.append(s)
-        total += s * sum(len(run) for run in runs)
-        average = float(s / (n - 1))
-        for run in runs:
-            per_vertex[run.start:run.stop] = [average] * len(run)
+        total += s * len(run)
+        per_vertex[run.start:run.stop] = [float(s / (n - 1))] * len(run)
     stats = AlphaStats(
         alpha_low=float(min(row_sums) / (n - 1)),
         alpha_up=float(max(row_sums) / (n - 1)),

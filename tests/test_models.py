@@ -229,10 +229,31 @@ def test_alpha_ordering_property(n, seed):
 # -- row classes --
 
 
+def block_matrix(labels, seed):
+    # one distinct value per pair of labels, so rows with different labels
+    # differ whenever three or more labels are present
+    labels = np.asarray(labels)
+    blocks = labels.max() + 1
+    upper = np.triu(np.random.default_rng(seed).permutation(blocks * blocks).reshape(blocks, blocks) + 1)
+    table = (upper + np.triu(upper, 1).T) / (blocks * blocks + 1)
+    return table[labels][:, labels]
+
+
+def label_stretches(labels):
+    starts = [u for u in range(len(labels)) if u == 0 or labels[u] != labels[u - 1]]
+    return [range(lo, hi) for lo, hi in zip(starts, starts[1:] + [len(labels)])]
+
+
 def test_row_classes_partition_the_rows():
     models = [ExampleFamilyModel(n, 0.4, 0.2) for n in range(16, 201)]
     models += [HomogeneousModel(n, p) for n in (2, 3, 17) for p in (0.0, 0.3, 1.0)]
     models.append(ExplicitModel(5, symmetric_matrix(5, 3)))
+    contiguous = [0] * 4 + [1] * 7 + [2] * 3 + [3] * 5
+    interleaved = np.random.default_rng(7).integers(0, 4, size=60).tolist()
+    for seed, labels in enumerate([contiguous, interleaved, [2, 0, 1]]):
+        m = ExplicitModel(len(labels), block_matrix(labels, seed))
+        assert m.row_classes() == label_stretches(labels), labels
+        models.append(m)
     for m in models:
         runs = m.row_classes()
         # nonempty ranges in ascending order that cover range(n) once
@@ -242,6 +263,11 @@ def test_row_classes_partition_the_rows():
             first = off_diagonal_values(m, run.start)
             for u in run:
                 assert off_diagonal_values(m, u) == first, (m, u)
+        # maximal: neighbouring runs hold different multisets
+        for left, right in zip(runs, runs[1:]):
+            assert off_diagonal_values(m, left.start) != off_diagonal_values(m, right.start), (m, right)
+        if isinstance(m, ExampleFamilyModel):
+            assert len(runs) == 8, m
 
 
 def off_diagonal_values(m, u):
@@ -304,7 +330,7 @@ def test_alpha_stats_matches_reference_explicit(n, blocks, pool, seed, by_block)
 
 
 def test_alpha_stats_row_calls_do_not_grow_with_n(monkeypatch):
-    # alpha_stats reads one row per run: ten for the family, one for the
+    # alpha_stats reads one row per run: eight for the family, one for the
     # homogeneous model
     calls = []
     for cls in (ExampleFamilyModel, HomogeneousModel):
@@ -314,7 +340,7 @@ def test_alpha_stats_row_calls_do_not_grow_with_n(monkeypatch):
         monkeypatch.setattr(cls, "probability_row", counting)
     s = alpha_stats(ExampleFamilyModel(10**5, 0.4, 0.2))
     assert s.alpha_up == 0.4
-    assert len(calls) == 10
+    assert len(calls) == 8
     calls.clear()
     s = alpha_stats(HomogeneousModel(10**5, 0.3))
     assert s.alpha_e == 0.3

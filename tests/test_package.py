@@ -195,6 +195,17 @@ def test_models_state_their_probabilities_once():
     assert "row_value_counts" not in {function.name for function in functions}
 
 
+def test_alpha_stats_takes_alike_rows_from_row_classes():
+    # row_classes alone decides which rows are alike: alpha_stats makes one
+    # pass over its runs and regroups nothing
+    tree = ast.parse((Path(eulerext.__file__).parent / "models.py").read_text(encoding="utf-8"))
+    function = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "alpha_stats")
+    nodes = list(ast.walk(function))
+    assert sum(isinstance(node, ast.For) for node in nodes) == 1
+    assert not [node for node in nodes if isinstance(node, (ast.Dict, ast.DictComp))]
+    assert "setdefault" not in {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+
 def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     # the two blocks run in order in one namespace, as a reader would paste them
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
