@@ -170,7 +170,7 @@ def _cmd_bounds(args):
     params = default_params(n, args.beta, args.gamma)
     step = step_success_bound(stats, n, params, args.t)
     alpha = asdict(stats)
-    del alpha["per_vertex_avg"]
+    del alpha["run_avgs"]
     _print_json(
         {
             "n": n,

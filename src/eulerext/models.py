@@ -201,12 +201,21 @@ class ExampleFamilyModel(EdgeProbabilityModel):
 
 @dataclass(frozen=True)
 class AlphaStats:
-    """Per-vertex average probabilities and their min / max / overall mean."""
+    """Per-vertex average probabilities and their min / max / overall mean.
+
+    run_avgs holds one (run, average) pair per run of the model's
+    row_classes(), the average shared by every vertex of the run.
+    """
 
     alpha_low: float
     alpha_up: float
     alpha_e: float
-    per_vertex_avg: tuple[float, ...]
+    run_avgs: tuple[tuple[range, float], ...]
+
+    @property
+    def per_vertex_avg(self) -> tuple[float, ...]:
+        """One average per vertex, expanded from run_avgs."""
+        return tuple(avg for run, avg in self.run_avgs for _ in run)
 
 
 def alpha_stats(model: EdgeProbabilityModel) -> AlphaStats:
@@ -217,27 +226,27 @@ def alpha_stats(model: EdgeProbabilityModel) -> AlphaStats:
     all pairs. Computed with Fractions so that e.g. a homogeneous model
     reports (p, p, p) exactly. Each run of model.row_classes() is tallied
     from its first row, less the diagonal slot, into one exact row sum:
-    one row read and O(#distinct values) Fraction operations per run, plus
-    filling per_vertex_avg. Results are cached on the model.
+    one row read and O(#distinct values) Fraction operations per run,
+    giving one average per run. Results are cached on the model.
     """
     if model._alpha is not None:
         return model._alpha
     n = model.n
     row_sums = []
     total = Fraction(0)  # sum over rows, which counts each pair twice
-    per_vertex = [0.0] * n
+    run_avgs = []
     for run in model.row_classes():
         values, counts = np.unique(model.probability_row(run.start), return_counts=True)
         counts[0] -= 1  # the diagonal slot holds the smallest value, 0.0
         s = sum(Fraction(value) * count for value, count in zip(values.tolist(), counts.tolist()))
         row_sums.append(s)
         total += s * len(run)
-        per_vertex[run.start:run.stop] = [float(s / (n - 1))] * len(run)
+        run_avgs.append((run, float(s / (n - 1))))
     stats = AlphaStats(
         alpha_low=float(min(row_sums) / (n - 1)),
         alpha_up=float(max(row_sums) / (n - 1)),
         alpha_e=float(total / (n * (n - 1))),
-        per_vertex_avg=tuple(per_vertex),
+        run_avgs=tuple(run_avgs),
     )
     model._alpha = stats
     return stats

@@ -1,9 +1,13 @@
 """Exact minimum Eulerian extension by exhaustive subset search.
 
-Ground truth for small graphs: enumerates complement-edge subsets in
+Ground truth for small graphs: searches complement-edge subsets in
 increasing cardinality, from a lower bound on the answer, and returns
 the first one whose addition makes the graph connected with all degrees
-even. Exponential, so its use is capped at a small vertex count.
+even. Parity fixes each subset's last edge, so a size-k search walks
+the (k-1)-subsets; a graph whose complement has a component with an
+odd number of odd vertices is answered at once, since no
+complement-edge set can make it even. Exponential, so its use is capped
+at a small vertex count.
 """
 
 from dataclasses import dataclass, field
@@ -45,6 +49,14 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
     with no odd vertex: the added edges leave each component an even
     number of times, so at least twice, and a component holds at least
     max(its odd vertices, 2) of their ends.
+
+    A size-k set is walked as a (k-1)-subset, its head, in lexicographic
+    order, plus the one complement edge whose endpoints the head leaves
+    odd; that edge must come after the head's last, so each k-set is met
+    once and in the same order as a walk of all k-subsets. Nothing is
+    walked when a component of the complement holds an odd number of odd
+    vertices: each added edge flips two degrees inside one such component,
+    so its odd count keeps its parity (the T-join condition).
     """
     if cap is not None:
         cap = _as_int(cap, ValueError, "cap must be None or an int >= 0")
@@ -57,22 +69,47 @@ def min_extension_exact(g: Graph, cap: int | None = None) -> OracleAnswer:
     if cap is None:
         cap = 3 * t
     odd = g.odd_mask
+    if _parity_blocked(g, odd):
+        return OracleAnswer(None, None, cap)
     components = g.components()
     start = t + sum(1 for c in components if not c & odd) if len(components) > 1 else t
+    if start == 0:  # t = 0 on a connected graph
+        return OracleAnswer(0, (), cap)
 
     comp = [(u, v) for u in range(g.n) for v in _bits(g.non_neighbors_mask(u) & (-1 << (u + 1)))]
     masks = [(1 << u) | (1 << v) for u, v in comp]
+    index = {mask: i for i, mask in enumerate(masks)}
 
     for k in range(start, min(cap, len(comp)) + 1):
-        for chosen in combinations(range(len(comp)), k):
-            parity = 0
-            for i in chosen:
+        for head in combinations(range(len(comp)), k - 1):
+            parity = odd
+            for i in head:
                 parity ^= masks[i]
-            if parity != odd:
+            last = index.get(parity)
+            if last is None or (head and last <= head[-1]):
                 continue
+            chosen = head + (last,)
             trial = g.copy()
             for i in chosen:
                 trial.add_edge(*comp[i])
             if trial.is_connected():
                 return OracleAnswer(k, tuple(comp[i] for i in chosen), cap)
     return OracleAnswer(None, None, cap)
+
+
+def _parity_blocked(g: Graph, odd: int) -> bool:
+    """True when a component of g's complement holds an odd number of odd
+    vertices; only the components that hold an odd vertex are walked."""
+    rest = odd
+    while rest:
+        seen = frontier = rest & -rest
+        while frontier:
+            reached = 0
+            for v in _bits(frontier):
+                reached |= g.non_neighbors_mask(v)
+            frontier = reached & ~seen
+            seen |= frontier
+        if (seen & odd).bit_count() % 2:
+            return True
+        rest &= ~seen
+    return False

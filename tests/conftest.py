@@ -328,7 +328,8 @@ def alpha_stats_ref(model):
     One exact Fraction row sum per vertex, from a Counter of the row's
     off-diagonal slots, so it shares only probability_row with the
     library. It does not read or fill the model's cache, so it never hands
-    back the library's answer.
+    back the library's answer. Its runs are single vertices, so compare
+    per_vertex_avg and the alpha fields, not run_avgs.
     """
     n = model.n
     seen: dict[float, Fraction] = {}
@@ -352,7 +353,7 @@ def alpha_stats_ref(model):
         alpha_low=float(low),
         alpha_up=float(up),
         alpha_e=float(overall),
-        per_vertex_avg=tuple(float(x) for x in averages),
+        run_avgs=tuple((range(u, u + 1), float(x)) for u, x in enumerate(averages)),
     )
 
 

@@ -166,6 +166,7 @@ def test_alpha_homogeneous_exact():
     s = alpha_stats(HomogeneousModel(37, 0.2))
     assert s.alpha_low == 0.2 and s.alpha_up == 0.2 and s.alpha_e == 0.2
     assert s.per_vertex_avg == (0.2,) * 37
+    assert s.run_avgs == ((range(37), 0.2),)
 
 
 def test_alpha_small_matrix_exact():
@@ -187,6 +188,7 @@ def test_alpha_family_max_is_exactly_a():
         s = alpha_stats(m)
         assert s.alpha_up == 0.4  # the last vertex averages a with no roundoff
         assert s.per_vertex_avg[n - 1] == 0.4
+        assert [run for run, _ in s.run_avgs] == m.row_classes()
         assert s.alpha_low < s.alpha_e < s.alpha_up
 
 
@@ -274,11 +276,16 @@ def off_diagonal_values(m, u):
     return sorted(np.delete(m.probability_row(u), u).tolist())
 
 
+def alpha_values(s):
+    # the three alpha fields and all n per-vertex averages
+    return s.alpha_low, s.alpha_up, s.alpha_e, s.per_vertex_avg
+
+
 def test_alpha_stats_matches_reference_family():
     for n in range(16, 201):
         for a, b in [(0.4, 0.2), (0.8, 0.25), (0.3, 0.1)]:
             m = ExampleFamilyModel(n, a, b)
-            assert alpha_stats(m) == alpha_stats_ref(m), m
+            assert alpha_values(alpha_stats(m)) == alpha_values(alpha_stats_ref(m)), m
 
 
 @given(
@@ -289,7 +296,7 @@ def test_alpha_stats_matches_reference_family():
 def test_alpha_stats_matches_reference_family_property(n, pair):
     b, a = sorted(pair)
     m = ExampleFamilyModel(n, a, b)
-    assert alpha_stats(m) == alpha_stats_ref(m)
+    assert alpha_values(alpha_stats(m)) == alpha_values(alpha_stats_ref(m))
 
 
 @given(st.integers(2, 1500), st.floats(0.0, 1.0))
@@ -302,7 +309,7 @@ def test_alpha_stats_matches_reference_family_property(n, pair):
 @settings(max_examples=20, deadline=None)
 def test_alpha_stats_matches_reference_homogeneous(n, p):
     m = HomogeneousModel(n, p)
-    assert alpha_stats(m) == alpha_stats_ref(m)
+    assert alpha_values(alpha_stats(m)) == alpha_values(alpha_stats_ref(m))
 
 
 @given(
@@ -326,7 +333,7 @@ def test_alpha_stats_matches_reference_explicit(n, blocks, pool, seed, by_block)
         upper = np.triu(r.choice(pool, size=(n, n)), 1)
         mat = upper + upper.T
     m = ExplicitModel(n, mat)
-    assert alpha_stats(m) == alpha_stats_ref(m)
+    assert alpha_values(alpha_stats(m)) == alpha_values(alpha_stats_ref(m))
 
 
 def test_alpha_stats_row_calls_do_not_grow_with_n(monkeypatch):
@@ -586,6 +593,9 @@ def test_read_lower_triangular_errors(tmp_path):
 
 
 def test_alpha_stats_is_frozen():
-    s = AlphaStats(0.1, 0.2, 0.15, (0.1, 0.2))
+    s = AlphaStats(0.1, 0.2, 0.15, ((range(0, 1), 0.1), (range(1, 2), 0.2)))
+    assert s.per_vertex_avg == (0.1, 0.2)
     with pytest.raises(Exception):
         s.alpha_low = 0.5
+    with pytest.raises(AttributeError):
+        s.per_vertex_avg = (0.3, 0.3)

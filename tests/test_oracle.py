@@ -1,11 +1,13 @@
 import random
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import eulerext.oracle
 from eulerext import (
     ORACLE_MAX_VERTICES,
     Graph,
@@ -246,6 +248,84 @@ def disconnected_graphs(draw):
     p = draw(st.floats(0.0, 1.0))
     edges = [(u, v) for u, v in combinations(range(n), 2) if block[u] == block[v] and rnd.random() < p]
     return graph(n, edges)
+
+
+@st.composite
+def graphs_with_caps(draw):
+    # connected or not, with a cap the reference can reach from t; the
+    # default cap 3t only where the complement stays small enough
+    n = draw(st.integers(6, 9))
+    rnd = random.Random(draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        edges = random_connected_edges(rnd, n, draw(st.floats(0.3, 0.9)))
+    else:
+        edges = random_edges(rnd, n, draw(st.floats(0.05, 0.9)))
+    caps = st.integers(0, 5) if n > 7 else st.one_of(st.none(), st.integers(0, 5))
+    return graph(n, edges), draw(caps)
+
+
+@given(graphs_with_caps())
+@settings(max_examples=100, deadline=None)
+def test_last_edge_by_parity_matches_the_search_of_all_subsets(case):
+    g, cap = case
+    answer = min_extension_exact(g, cap)
+    assert (answer.min_edges, answer.witness) == min_extension_exact_ref(g, cap)
+    assert answer.cap == (3 * g.t_value() if cap is None else cap)
+
+
+def counting_combinations(calls):
+    # stands in for itertools.combinations: records (pool size, r, items)
+    def walk(pool, r):
+        pool = list(pool)
+        calls.append([len(pool), r, 0])
+        for chosen in combinations(pool, r):
+            calls[-1][2] += 1
+            yield chosen
+    return walk
+
+
+def test_size_k_walks_the_heads_of_k_sets(monkeypatch):
+    # connected, one odd pair (0, 2), 8 complement edges and nothing
+    # within 3t = 3: each size k walks all C(8, k - 1) heads, not the
+    # C(8, k) subsets
+    g = graph(7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (3, 4), (3, 6), (4, 6)])
+    assert g.is_connected() and g.t_value() == 1
+    calls = []
+    monkeypatch.setattr(eulerext.oracle, "combinations", counting_combinations(calls))
+    assert min_extension_exact(g) == OracleAnswer(None, None)
+    assert calls == [[8, k - 1, comb(8, k - 1)] for k in (1, 2, 3)]
+    # the answer at size 4 is the first found by a walk of all 4-subsets
+    calls.clear()
+    assert min_extension_exact(g, cap=4) == OracleAnswer(4, ((0, 1), (1, 6), (2, 5), (5, 6)))
+    assert [r for _, r, _ in calls] == [0, 1, 2, 3]
+
+
+def no_combinations(pool, r):
+    raise AssertionError("a subset was enumerated")
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_complement_component_with_odd_count_stops_at_once(monkeypatch, n):
+    # vertex 0 is adjacent to every other vertex, so it has odd degree n - 1
+    # and no complement edge: its complement component {0} holds one odd
+    # vertex, and no complement-edge set can make every degree even
+    g = graph(n, [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)])
+    assert g.is_connected() and g.odd_mask & 1
+    monkeypatch.setattr(eulerext.oracle, "combinations", no_combinations)
+    answer = min_extension_exact(g)
+    assert answer == OracleAnswer(None, None)
+    assert answer.cap == 3 * g.t_value()
+
+
+def test_complement_parity_stop_needs_no_isolated_vertex(monkeypatch):
+    # K_{3,3}: every degree is 3, and the complement is two triangles, each
+    # holding three odd vertices
+    g = graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    assert g.odd_mask == 0b111111
+    monkeypatch.setattr(eulerext.oracle, "combinations", no_combinations)
+    assert min_extension_exact(g) == OracleAnswer(None, None)
+    monkeypatch.undo()
+    assert min_extension_exact_ref(g, 9) == (None, None)
 
 
 @given(disconnected_graphs(), st.integers(0, 5))
