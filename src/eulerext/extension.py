@@ -8,10 +8,16 @@ handles the remainder with three-edge detours, first by random probing
 and then by exhaustive scan, so a failure there is a certificate that no
 detour exists for that pair. A successful run adds at most three edges
 per odd vertex pair.
+
+Phases one and two only read the input graph: each reads a vertex's row
+only while that vertex is unmatched, and the edges they choose touch
+only matched vertices. Phase three alone needs their edges in place, so
+only when it runs does extend build one work copy carrying them.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +47,9 @@ FAIL_NO_THREE_PATH = "no_three_path"
 PROBE_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class AddedEdge:
-    """One complement edge added by the engine, tagged with its phase."""
+class AddedEdge(NamedTuple):
+    """One complement edge added by the engine, tagged with its phase; a
+    named tuple, built in every phase and cheaper than a frozen dataclass."""
 
     u: int
     v: int
@@ -83,12 +89,15 @@ class ThreePathOutcome:
 
 
 def phase_pairing(g: Graph) -> tuple[list[AddedEdge], list[int]]:
-    """Pair non-adjacent odd vertices greedily; mutates g.
+    """Pair non-adjacent odd vertices greedily; reads g, never changes it.
 
     One ascending pass over the odd vertices, matching each unmatched one
-    to its smallest unmatched non-neighbor further along. Any vertex left
-    over was adjacent to everything left over, so the returned residual is
-    a clique of odd-degree vertices.
+    to its smallest unmatched non-neighbor further along. Only unmatched
+    vertices' rows are read, and an added edge would change only the rows
+    of the two vertices it matches, so reading g gives the pairs that
+    adding each edge as it is found would. Any vertex left over was
+    adjacent to everything left over, so the returned residual is a clique
+    of odd-degree vertices, in g and in g plus the added edges alike.
     """
     odd = free = g.odd_mask
     added: list[AddedEdge] = []
@@ -98,7 +107,6 @@ def phase_pairing(g: Graph) -> tuple[list[AddedEdge], list[int]]:
         candidates = g.non_neighbors_mask(u) & free & (-1 << (u + 1))
         if candidates:
             v = (candidates & -candidates).bit_length() - 1
-            g.add_edge(u, v)
             added.append(AddedEdge(u, v, PHASE_PAIRING))
             free &= ~((1 << u) | (1 << v))
     return added, list(_bits(free))
@@ -110,10 +118,12 @@ def phase_clique_reduction(g: Graph, residual: list[int]) -> tuple[list[AddedEdg
     One pass over residual in its given order: each unmatched x takes the
     first later unmatched y that shares an absent-edge neighbour z outside
     the *input* residual set, with z the smallest such, and the edges
-    (x, z) and (y, z) are added. A vertex's mask changes only when it is
-    matched, so one read per vertex suffices. Mutates g; returns the added
-    edges and the unmatched vertices in residual order. extend hands it
-    phase one's residual: distinct vertices, ascending.
+    (x, z) and (y, z) are chosen. A vertex's mask would change only when
+    it is matched, so one read per vertex suffices, and phase one's edges,
+    which touch no residual vertex, change none of them. Reads g, never
+    changes it; returns the chosen edges and the unmatched vertices in
+    residual order. extend hands it phase one's residual: distinct
+    vertices, ascending.
     """
     blocked = sum(1 << x for x in residual)
     masks = [g.non_neighbors_mask(x) & ~blocked for x in residual]
@@ -128,7 +138,6 @@ def phase_clique_reduction(g: Graph, residual: list[int]) -> tuple[list[AddedEdg
                 z = (candidates & -candidates).bit_length() - 1
                 for a, b in ((x, z), (y, z)):
                     lo, hi = (a, b) if a < b else (b, a)
-                    g.add_edge(lo, hi)
                     added.append(AddedEdge(lo, hi, PHASE_TWO_PATH))
                 matched |= (1 << x) | (1 << y)
                 break
@@ -240,7 +249,10 @@ def _probe_budget(max_random_attempts) -> int | None:
 def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> ExtensionResult:
     """Add complement edges to make g Eulerian.
 
-    The input graph is left untouched. With an rng, phase three probes
+    The input graph is left untouched: phases one and two only read it,
+    and only when vertices are still pending after them is g copied, once,
+    with their edges added through Graph.add_edge, for phase three to
+    read and extend. With an rng, phase three probes
     random detours first (default budget 64 * ceil(ln n) per pair); with
     rng=None it goes straight to the deterministic exhaustive scan, so the
     whole run is reproducible without a seed. The failure reason is
@@ -257,16 +269,18 @@ def extend(g: Graph, rng=None, max_random_attempts: int | None = None) -> Extens
     t = g.t_value()
     if not g.is_connected():
         return ExtensionResult(False, t, (), failure_reason=FAIL_DISCONNECTED)
-    work = g.copy()
     # the phases are called through module globals, which benchmarks/tracing.py rebinds to time them
-    added, residual = phase_pairing(work)
-    two_path, pending = phase_clique_reduction(work, residual)
+    added, residual = phase_pairing(g)
+    two_path, pending = phase_clique_reduction(g, residual)
     added.extend(two_path)
     attempts, failing = 0, None
     if pending:
         if max_random_attempts is None:
             # pending holds two or more vertices, so n >= 2 and the log is positive
             max_random_attempts = 64 * math.ceil(math.log(g.n))
+        work = g.copy()
+        for edge in added:
+            work.add_edge(edge.u, edge.v)
         outcome = phase_three_paths(work, pending, rng, max_random_attempts)
         added.extend(outcome.edges)
         attempts, failing = outcome.attempts, outcome.failing_pair

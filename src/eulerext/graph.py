@@ -248,20 +248,26 @@ class Graph:
     # -- plumbing ----------------------------------------------------------
 
     def _reachable_from(self, start: int, goal: int) -> int:
-        """Vertices reached by a breadth-first search from start, which
-        stops after the first level that leaves every vertex of the goal
-        bitset visited; a superset of goal exactly when start reaches it."""
+        """Vertices reached by a breadth-first search from start.
+
+        goal must contain every vertex the search can reach: all vertices,
+        or a set that holds start's whole component. Each row read is ORed
+        straight into the visited set, and the search returns as soon as
+        that set equals goal, so it reads no row past the one that reaches
+        the last goal vertex. Either way the result is start's component.
+        """
         adj = self._adj
         visited = frontier = 1 << start
-        while frontier and goal & ~visited:
-            nxt = 0
+        while frontier:
+            before = visited
             m = frontier
             while m:
                 low = m & -m
-                nxt |= adj[low.bit_length() - 1]
+                visited |= adj[low.bit_length() - 1]
+                if visited == goal:
+                    return visited
                 m ^= low
-            frontier = nxt & ~visited
-            visited |= frontier
+            frontier = visited & ~before
         return visited
 
     def _insert(self, u: int, v: int):

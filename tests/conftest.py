@@ -53,6 +53,23 @@ def connected_ref(n, edges):
     return len(seen) == n
 
 
+def reachable_from_ref(g, start, goal):
+    """The level-by-level search that Graph._reachable_from's early exit
+    replaced: whole breadth-first levels from start until one leaves every
+    vertex of the goal bitset visited (public Graph API only)."""
+    full = (1 << g.n) - 1
+    rows = [full & ~g.non_neighbors_mask(v) & ~(1 << v) for v in range(g.n)]
+    visited = frontier = 1 << start
+    while frontier and goal & ~visited:
+        nxt = 0
+        for v in range(g.n):
+            if (frontier >> v) & 1:
+                nxt |= rows[v]
+        frontier = nxt & ~visited
+        visited |= frontier
+    return visited
+
+
 def odd_vertices_ref(n, edges):
     adj = adj_sets(n, edges)
     return {v for v in range(n) if len(adj[v]) % 2 == 1}
@@ -60,6 +77,14 @@ def odd_vertices_ref(n, edges):
 
 def bitset(vertices):
     return sum(1 << v for v in vertices)
+
+
+def with_edges(g, edges):
+    """A copy of g with the given AddedEdge list added through add_edge."""
+    union = g.copy()
+    for edge in edges:
+        union.add_edge(edge.u, edge.v)
+    return union
 
 
 def has_edge(g, u, v):

@@ -40,6 +40,7 @@ from conftest import (
     rng_state,
     scan_three_path_ref,
     valid_three_path_ref,
+    with_edges,
 )
 
 
@@ -56,10 +57,12 @@ def pairs(edges):
 
 def test_pairing_path():
     g = graph(3, [(0, 1), (1, 2)])
+    before = g.copy()
     added, residual = phase_pairing(g)
     assert pairs(added) == [(0, 2)]
     assert residual == []
-    assert has_edge(g, 0, 2)
+    assert g == before  # phase one only reads its graph
+    assert has_edge(with_edges(g, added), 0, 2)
     assert added[0].phase == PHASE_PAIRING
 
 
@@ -92,11 +95,14 @@ def test_pairing_greedy_is_ascending():
 def test_pairing_residual_is_odd_clique(n, seed):
     rnd = random.Random(seed)
     g = graph(n, random_connected_edges(rnd, n))
+    before = g.copy()
     added, residual = phase_pairing(g)
-    assert g.odd_mask == bitset(residual)
+    assert g == before
+    union = with_edges(g, added)
+    assert union.odd_mask == bitset(residual)
     for i, u in enumerate(residual):
         for v in residual[i + 1:]:
-            assert has_edge(g, u, v)
+            assert has_edge(union, u, v)
     for e in added:
         assert e.phase == PHASE_PAIRING
 
@@ -106,11 +112,13 @@ def test_pairing_residual_is_odd_clique(n, seed):
 
 def test_clique_reduction_k4_plus_outsider():
     g = graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    before = g.copy()
     added, pending = phase_clique_reduction(g, [0, 1, 2, 3])
     assert pairs(added) == [(0, 4), (1, 4), (2, 4), (3, 4)]
     assert pending == []
     assert all(e.phase == PHASE_TWO_PATH for e in added)
-    assert g.odd_mask == 0
+    assert g == before  # phase two only reads its graph
+    assert with_edges(g, added).odd_mask == 0
 
 
 def test_clique_reduction_never_routes_through_input_set():
@@ -300,6 +308,36 @@ def test_extend_adds_nothing_to_connected_even_graphs():
     assert checked == 764  # labelled connected even graphs, n = 0..6: 1, 1, 0, 1, 3, 38, 720
 
 
+def test_extend_copies_the_input_only_for_phase_three(monkeypatch):
+    # phases one and two read the input, so a run that ends with them
+    # copies nothing; phase three gets one copy, whether it succeeds or not
+    no_phase_three = [
+        graph(3, [(0, 1), (1, 2)]),
+        graph(3, [(0, 1), (1, 2), (0, 2)]),
+        graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
+    ]
+    phase_three = [
+        graph(5, [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4), (0, 4), (1, 4)]),
+        graph(4, [(0, 1), (0, 2), (0, 3)]),
+        graph(2, [(0, 1)]),
+    ]
+    copies = []
+    copy = Graph.copy
+
+    def counted(self):
+        copies.append(self)
+        return copy(self)
+
+    monkeypatch.setattr(Graph, "copy", counted)
+    for graphs, expected in ((no_phase_three, 0), (phase_three, 1)):
+        for g in graphs:
+            for rng in (None, np.random.default_rng(3)):
+                copies.clear()
+                r = extend(g, rng)
+                ran_phase_three = r.failing_pair is not None or r.phase_counts()[PHASE_THREE_PATH] > 0
+                assert len(copies) == expected and ran_phase_three == bool(expected)
+
+
 def test_extend_path_one_edge():
     g = graph(3, [(0, 1), (1, 2)])
     r = extend(g)
@@ -452,14 +490,18 @@ dense_graphs = st.builds(
 @given(dense_graphs, st.booleans(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_clique_reduction_matches_reference(g, from_phase_one, data):
-    # residuals as phase one leaves them (odd cliques) or any vertex list
+    # residuals as phase one leaves them (odd cliques) or any vertex list;
+    # the reference adds each edge it finds, so it gets the graph with phase
+    # one's edges in place, while phase two reads the input as extend hands it
     if from_phase_one:
-        _, residual = phase_pairing(g)
+        earlier, residual = phase_pairing(g)
     else:
-        residual = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
-    work, ref = g.copy(), g.copy()
-    assert phase_clique_reduction(work, residual) == phase_clique_reduction_ref(ref, residual)
-    assert work == ref
+        earlier, residual = [], data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    work, ref = g.copy(), with_edges(g, earlier)
+    added, pending = phase_clique_reduction(work, residual)
+    assert (added, pending) == phase_clique_reduction_ref(ref, residual)
+    assert work == g
+    assert with_edges(g, earlier + added) == ref
 
 
 def inner_masks(g, u, v):
@@ -496,17 +538,27 @@ def probe_budgets(small):
 @given(dense_graphs, st.booleans(), probe_budgets(4), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_phases_match_references(g, use_rng, budget, seed):
-    def run(pairing, clique_reduction, three_paths):
+    # the references add each edge as they find it; phases one and two
+    # only read the graph, and phase three gets it with their edges added
+    def run_refs():
         work = g.copy()
-        added, residual = pairing(work)
-        two_path, pending = clique_reduction(work, residual)
+        added, residual = phase_pairing_ref(work)
+        two_path, pending = phase_clique_reduction_ref(work, residual)
         rng = np.random.default_rng(seed) if use_rng else None
-        outcome = three_paths(work, pending, rng, budget)
+        outcome = phase_three_paths_ref(work, pending, rng, budget)
         return added, residual, two_path, pending, outcome, work, rng_state(rng)
 
-    assert run(phase_pairing, phase_clique_reduction, phase_three_paths) == run(
-        phase_pairing_ref, phase_clique_reduction_ref, phase_three_paths_ref
-    )
+    def run_phases():
+        work = g.copy()
+        added, residual = phase_pairing(work)
+        two_path, pending = phase_clique_reduction(work, residual)
+        assert work == g
+        work = with_edges(g, added + two_path)
+        rng = np.random.default_rng(seed) if use_rng else None
+        outcome = phase_three_paths(work, pending, rng, budget)
+        return added, residual, two_path, pending, outcome, work, rng_state(rng)
+
+    assert run_phases() == run_refs()
 
 
 @given(dense_graphs, st.one_of(st.none(), st.integers(0, 2**32 - 1)))

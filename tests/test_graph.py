@@ -32,6 +32,7 @@ from conftest import (
     odd_vertices_ref,
     random_connected_edges,
     random_edges,
+    reachable_from_ref,
 )
 
 
@@ -405,6 +406,51 @@ def test_components_cases():
 def test_components_match_reference(n, p, seed):
     edges = random_edges(random.Random(seed), n, p)
     assert Graph.from_edge_list(n, edges).components() == [bitset(c) for c in components_ref(n, edges)]
+
+
+# empty to complete graphs; a split at k keeps every edge inside [0, k) or
+# [k, n), so any split strictly inside the range disconnects the graph
+@given(
+    st.integers(0, 70),
+    st.sampled_from([0.0, 0.01, 0.03, 0.08, 0.2, 0.5, 0.9, 1.0]),
+    st.integers(0, 70),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_search_matches_the_level_by_level_reference(n, p, split, seed):
+    k = min(split, n)
+    edges = [(u, v) for u, v in random_edges(random.Random(seed), n, p) if (u < k) == (v < k)]
+    g = Graph.from_edge_list(n, edges)
+    full = (1 << n) - 1
+    assert g.is_connected() == (not n or reachable_from_ref(g, 0, full) == full)
+    rest, found = full, []
+    while rest:
+        found.append(reachable_from_ref(g, (rest & -rest).bit_length() - 1, rest))
+        rest &= ~found[-1]
+    assert g.components() == found
+
+
+class CountedRows(list):
+    """An adjacency list that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("k", [2, 10, 40])
+def test_search_stops_at_the_row_that_reaches_the_last_vertex(k):
+    # row 0 reaches 1..k and row 1, the next one read, reaches the rest; a
+    # search that finishes each level would read all k rows of 1..k
+    n = k + 5
+    g = Graph.from_edge_list(n, [(0, v) for v in range(1, k + 1)] + [(1, v) for v in range(2, n)])
+    for check in (lambda: g.is_connected(), lambda: g.components() == [(1 << n) - 1]):
+        g._adj = CountedRows(g._adj)
+        assert check()
+        assert g._adj.reads == 2
+
 
 # -- common non-neighbors --
 

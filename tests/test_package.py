@@ -146,6 +146,29 @@ def test_extend_and_the_matrix_check_answer_on_one_path():
     assert [path.name for path in package.glob("*.py") if "equal_nan" in path.read_text(encoding="utf-8")] == []
 
 
+def test_only_phase_three_gets_a_work_copy():
+    # phases one and two read extend's input and add nothing to it; extend
+    # copies the input only when vertices are left pending for phase three
+    tree = ast.parse(Path(eulerext.extension.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(node):
+        return [
+            getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+        ]
+
+    for name in ("phase_pairing", "phase_clique_reduction"):
+        assert "add_edge" not in called(functions[name]), name
+    extend_def = functions["extend"]
+    (pending,) = [
+        node for node in ast.walk(extend_def) if isinstance(node, ast.If) and ast.unparse(node.test) == "pending"
+    ]
+    in_pending = [name for statement in pending.body for name in called(statement)]
+    assert called(extend_def).count("copy") == in_pending.count("copy") == 1
+
+
 def test_the_front_ends_restate_no_library_rule():
     # cli.py and experiment.py take an extension's count fields from
     # ExtensionResult.count_fields and the oracle's cap from its answer,
