@@ -49,8 +49,8 @@ def _vertex_count(n) -> int:
 class EdgeProbabilityModel:
     """Base class: a symmetric pair-probability assignment on n vertices.
 
-    Subclasses state their probabilities once, in probability_row; row_classes
-    only says which vertices share a row multiset.
+    Subclasses state their probabilities once, in probability_row, and list
+    in row_classes which vertices share a row multiset.
     """
 
     def __init__(self, n: int):
@@ -66,16 +66,9 @@ class EdgeProbabilityModel:
         """Maximal runs of vertices whose rows hold the same multiset of values.
 
         The runs are nonempty, in ascending order, cover range(n) once, and
-        neighbouring runs differ. The default reads each row once and merges
-        neighbours with equal sorted rows; a subclass may list its runs directly.
+        neighbouring runs differ. Each subclass lists its runs directly.
         """
-        starts, previous = [0], np.sort(self.probability_row(0))
-        for u in range(1, self.n):
-            current = np.sort(self.probability_row(u))
-            if not np.array_equal(current, previous):
-                starts.append(u)
-            previous = current
-        return [range(lo, hi) for lo, hi in zip(starts, starts[1:] + [self.n])]
+        raise NotImplementedError
 
     def pair_probabilities(self) -> np.ndarray:
         """Probabilities for all pairs u < v in lexicographic order (cached)."""
@@ -117,9 +110,14 @@ class HomogeneousModel(EdgeProbabilityModel):
         return f"HomogeneousModel(n={self.n}, p={self.p})"
 
 
+# rows per strip of ExplicitModel's symmetry check
+_STRIP = 64
+
+
 class ExplicitModel(EdgeProbabilityModel):
     """Probabilities given as a full symmetric matrix. The diagonal is zeroed,
-    then every entry must lie in [0, 1], NaN failing there, then symmetry."""
+    then every entry must lie in [0, 1], NaN failing there, then symmetry.
+    The row runs are found once, here."""
 
     def __init__(self, n: int, matrix):
         super().__init__(n)
@@ -127,18 +125,44 @@ class ExplicitModel(EdgeProbabilityModel):
         if mat.shape != (n, n):
             raise ModelError(f"matrix shape {mat.shape} does not match n={n}")
         np.fill_diagonal(mat, 0.0)
-        if np.isnan(mat).any() or (mat < 0).any() or (mat > 1).any():
+        # NaN fails both comparisons
+        if not (mat.min() >= 0.0 and mat.max() <= 1.0):
             raise ModelError("matrix entries must lie in [0, 1]")
-        if not np.array_equal(mat, mat.T):
-            raise ModelError("probability matrix must be symmetric")
+        # row strips, so the transpose is read a few contiguous columns at a time
+        for lo in range(0, self.n, _STRIP):
+            if not np.array_equal(mat[lo:lo + _STRIP, lo:], mat[lo:, lo:lo + _STRIP].T):
+                raise ModelError("probability matrix must be symmetric")
         self.matrix = mat
+        self._runs = _row_runs(mat)
 
     def probability_row(self, u):
         u = self._vertex(u)
         return self.matrix[u].copy()
 
+    def row_classes(self):
+        return list(self._runs)
+
     def __repr__(self):
         return f"ExplicitModel(n={self.n})"
+
+
+def _row_runs(mat) -> tuple[range, ...]:
+    """Maximal runs of rows with the same multiset in a symmetric matrix with
+    a zero diagonal.
+
+    Rows w and w + 1 that agree outside columns w and w + 1 hold the same
+    multiset, since there they hold 0 and p(w, w + 1) swapped. Only the
+    other neighbours are sorted and compared.
+    """
+    differ = mat[1:] != mat[:-1]
+    np.fill_diagonal(differ, False)
+    np.fill_diagonal(differ[:, 1:], False)
+    starts = [0] + [
+        w + 1
+        for w in np.flatnonzero(differ.any(axis=1)).tolist()
+        if not np.array_equal(np.sort(mat[w]), np.sort(mat[w + 1]))
+    ]
+    return tuple(range(lo, hi) for lo, hi in zip(starts, starts[1:] + [len(mat)]))
 
 
 class ExampleFamilyModel(EdgeProbabilityModel):

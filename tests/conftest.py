@@ -382,6 +382,22 @@ def alpha_stats_ref(model):
     )
 
 
+def row_classes_ref(model):
+    """The per-row row_classes that ExplicitModel's neighbour compare replaced.
+
+    Reads each row once through probability_row, keeps only the previous
+    sorted row and starts a new run wherever the sorted row differs, so
+    its runs are maximal, ascending and nonempty.
+    """
+    starts, previous = [0], np.sort(model.probability_row(0))
+    for u in range(1, model.n):
+        current = np.sort(model.probability_row(u))
+        if not np.array_equal(current, previous):
+            starts.append(u)
+        previous = current
+    return [range(lo, hi) for lo, hi in zip(starts, starts[1:] + [model.n])]
+
+
 def family_probability_ref(n, a, b, u, v):
     """Pointwise rule of the example family, one pair at a time.
 

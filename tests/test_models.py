@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from eulerext import (
     sample_graph,
 )
 
-from conftest import alpha_stats_ref, family_probability_ref, has_edge, sample_graph_ref
+from conftest import alpha_stats_ref, family_probability_ref, has_edge, row_classes_ref, sample_graph_ref
 
 
 def symmetric_matrix(n, seed):
@@ -86,6 +87,54 @@ def test_explicit_diagonal_ignored():
     m = ExplicitModel(3, mat)
     assert m.probability_row(0)[0] == 0.0
     assert m.probability_row(0)[1] == 0.5
+
+
+def test_explicit_symmetry_is_checked_in_every_strip():
+    # the check reads 64-row strips: the first, the last (partial) one, and
+    # pairs across a strip boundary
+    n = 130
+    for i, j in [(5, 20), (128, 129), (63, 64), (0, 129)]:
+        for a, b in [(i, j), (j, i)]:
+            mat = symmetric_matrix(n, 5)
+            mat[a, b] = 1.0 - mat[a, b]
+            with pytest.raises(ModelError, match="probability matrix must be symmetric"):
+                ExplicitModel(n, mat)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_explicit_non_finite_entries_fail_the_range_check(bad):
+    n = 130
+    for i, j in [(5, 20), (63, 64), (0, 129)]:
+        for mirror in (bad, 0.5):  # the range check comes before symmetry
+            mat = symmetric_matrix(n, 6)
+            mat[i, j], mat[j, i] = bad, mirror
+            with pytest.raises(ModelError, match=r"matrix entries must lie in \[0, 1\]"):
+                ExplicitModel(n, mat)
+
+
+def test_explicit_negative_zero_is_accepted():
+    mat = np.full((130, 130), 0.0)
+    mat[:70, :70] = 0.4
+    mat[3, 90] = mat[90, 3] = mat[128, 129] = mat[129, 128] = -0.0
+    mat[100, 110] = mat[75, 60] = -0.0  # their mirrors stay 0.0, which compares equal
+    m = ExplicitModel(130, mat)
+    assert m.row_classes() == [range(70), range(70, 130)] == row_classes_ref(m)
+
+
+def test_explicit_model_builds_without_a_second_float_matrix():
+    # the n x n float copy is the only big buffer; one bool temporary fits
+    # in the 2 MB to spare, a second float matrix (8 MB) does not
+    n = 1000
+    mat = np.full((n, n), 0.3)
+    mat[:400, :400] = 0.6
+    tracemalloc.start()
+    try:
+        m = ExplicitModel(n, mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.row_classes() == [range(400), range(400, n)]
+    assert peak < 8 * n * n + 2 * 10**6
 
 
 def test_family_validation():
@@ -272,6 +321,46 @@ def test_row_classes_partition_the_rows():
             assert len(runs) == 8, m
 
 
+def circulant_matrix(n, values):
+    # p(u, v) depends on the cyclic distance of u and v only, so every row
+    # holds the same multiset although neighbours are no swaps of each other
+    offsets = np.arange(n)
+    by_distance = np.asarray(values)[np.minimum(offsets, n - offsets)]
+    return by_distance[(offsets[None, :] - offsets[:, None]) % n]
+
+
+@given(
+    st.integers(2, 70),
+    st.sampled_from(["contiguous", "interleaved", "circulant"]),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example(2, "contiguous", 1, 0, False)
+@example(7, "circulant", 1, 3, False)
+@example(7, "circulant", 2, 3, True)
+@settings(max_examples=200, deadline=None)
+def test_explicit_row_classes_match_the_per_row_reference(n, layout, blocks, seed, signed_zeros):
+    r = np.random.default_rng(seed)
+    pool = [0.0, 0.2, 0.5, 0.7, 1.0]
+    if layout == "circulant":
+        mat = circulant_matrix(n, r.choice(pool, size=n // 2 + 1))
+        if blocks > 1 and n > 2:  # one changed pair sets its two rows apart
+            u, v = r.choice(n, size=2, replace=False)
+            mat[u, v] = mat[v, u] = 0.3
+    else:
+        label = r.integers(0, blocks, size=n)
+        if layout == "contiguous":
+            label = np.sort(label)
+        table = np.triu(r.choice(pool, size=(blocks, blocks)))
+        table = table + np.triu(table, 1).T
+        mat = table[label][:, label]
+    if signed_zeros:  # -0.0 beside 0.0, its mirror included
+        mat = np.where((mat == 0.0) & (r.random((n, n)) < 0.5), -0.0, mat)
+    m = ExplicitModel(n, mat)
+    assert m.row_classes() == row_classes_ref(m)
+
+
 def off_diagonal_values(m, u):
     return sorted(np.delete(m.probability_row(u), u).tolist())
 
@@ -338,9 +427,9 @@ def test_alpha_stats_matches_reference_explicit(n, blocks, pool, seed, by_block)
 
 def test_alpha_stats_row_calls_do_not_grow_with_n(monkeypatch):
     # alpha_stats reads one row per run: eight for the family, one for the
-    # homogeneous model
+    # homogeneous model, two for a two-block explicit model
     calls = []
-    for cls in (ExampleFamilyModel, HomogeneousModel):
+    for cls in (ExampleFamilyModel, HomogeneousModel, ExplicitModel):
         def counting(self, u, row=cls.probability_row):
             calls.append(u)
             return row(self, u)
@@ -352,6 +441,12 @@ def test_alpha_stats_row_calls_do_not_grow_with_n(monkeypatch):
     s = alpha_stats(HomogeneousModel(10**5, 0.3))
     assert s.alpha_e == 0.3
     assert calls == [0]
+    calls.clear()
+    mat = np.full((1000, 1000), 0.3)
+    mat[:400, :400] = 0.6
+    s = alpha_stats(ExplicitModel(1000, mat))
+    assert [run for run, _ in s.run_avgs] == [range(400), range(400, 1000)]
+    assert calls == [0, 400]
 
 
 # -- density window check --
